@@ -2,58 +2,20 @@
 //
 // Usage:
 //
-//	evfedbench [-quick] [-seed N] [-workers N] [-codec none|f32|q8]
-//	    [-table 1|2|3] [-fig 2|3] [-summary] [-all]
-//	evfedbench -serve-bench BENCH.json [-serve-stations 32] [-serve-points 4000]
-//	    [-serve-shards N] [-serve-batch 16] [-serve-reloads 2]
-//	    [-serve-producers N] [-serve-inflight 64] [-serve-skew 0.75] [-serve-no-steal]
-//	evfedbench -serve-matrix BENCH_pr8.json [-quick]
-//	evfedbench -bench-compare BASE.json,NEW.json
-//	    [-compare-tput-drop 0.15] [-compare-p99-growth 0.25]
-//	evfedbench -hier 1000,10000 [-hier-edges 100] [-quick] [-bench-json BENCH.json]
-//	evfedbench -chaos-recovery [-chaos-rounds 4] [-seed N] [-bench-json BENCH_pr9.json]
-//	evfedbench -attack-matrix [-quick] [-seed N] [-attack-baseline BENCH_pr10.json]
-//	    [-bench-json BENCH_pr10.json]
-//
-// -attack-matrix runs the adversarial evaluation matrix: every telemetry
-// attack family (DDoS, three FDI shapes, three temporal disruptions) at
-// two intensities through the detection + mitigation pipeline, scored
-// against the injectors' ground-truth masks, plus Byzantine client
-// attacks (sign-flip, scaled-poison, colluding subset) at f = 1..4 of 8
-// stations against mean/median/trimmed aggregation — flat and through
-// the edge tier — scored as global-model R² deltas vs clean baselines.
-// Every cell carries a declared bound and the run fails on any miss;
-// -attack-baseline additionally fails on any verdict regression vs the
-// committed record (see BENCH_pr10.json).
-//
-// -chaos-recovery runs the fault-injection matrix: real TCP federations
-// (flat and 2-tier) under injected connection drops, stalls and byte
-// corruption, coordinator kill-and-resume from durable checkpoints at
-// several cadences, and a scoring-service restart from its atomic
-// snapshot — every arm scored against a fault-free control and gated on
-// its scenario's recovery guarantee (see BENCH_pr9.json).
-//
-// -hier switches to the hierarchical topology sweep: each station count
-// is federated twice over simulated stations — flat, and behind a 2-tier
-// edge hierarchy — comparing wall clock and per-round root traffic, and
-// verifying the two topologies aggregate to identical global models.
+//	evfedbench [-quick] [-seed N] [-workers N] [-codec none|f32|q8] [-strict]
+//	    [-table 1|2|3] [-fig 2|3] [-summary] [-all] [-json REPORT.json]
+//	evfedbench -scalability 3,6,12 [-quick] [-seed N]
 //
 // With no selection flags, everything is printed (-all). The default
 // configuration is the paper's full size (4,344 hours per client,
 // LSTM(50), 5 rounds × 10 epochs); -quick runs the scaled-down
 // configuration in seconds.
 //
-// -serve-bench switches to the online-scoring load generator: it boots
-// the sharded scoring service (internal/serve) in-process, drives a
-// station fleet against it with hot model reloads firing mid-run, and
-// records points/sec plus p50/p90/p99/p999 verdict latency from the
-// service's fixed-bin histogram (see BENCH_pr5.json).
-//
-// -serve-matrix sweeps the multi-core scaling surface — {GOMAXPROCS ×
-// shards × batch threshold × queue depth × producers × skew/steal} — and
-// writes one record per arm (see BENCH_pr8.json). -bench-compare gates a
-// fresh run against a committed baseline, failing on throughput or p99
-// regressions beyond the tolerance band.
+// This binary measures nothing and gates nothing. Performance is measured
+// by the benchmark of record (bash bench/run.sh, see bench/README.md);
+// the recovery, hierarchy, rollout and adversarial gates are go tests in
+// internal/eval (TestChaosRecoveryMatrix, TestScalabilityHier10kStations,
+// TestRunCanaryRollout, TestRunAttackMatrix).
 package main
 
 import (
@@ -86,86 +48,10 @@ func run() error {
 		all     = flag.Bool("all", false, "print every table and figure (default)")
 		strict  = flag.Bool("strict", false, "score every scenario against the true clean demand instead of the paper protocol")
 		jsonOut = flag.String("json", "", "also write the full report as JSON to this path")
-		bench   = flag.String("bench-json", "", "write a machine-readable perf record (phase wall times, epochs/sec, rounds/sec, bytes/round) to this path")
 		codec   = flag.String("codec", "none", "federated update compression: none, f32 or q8")
 		scal    = flag.String("scalability", "", "run the federation-size sweep instead (comma-separated client counts, e.g. 3,6,12)")
-
-		hier      = flag.String("hier", "", "run the flat-vs-hierarchical topology sweep instead (comma-separated simulated station counts, e.g. 1000,10000)")
-		hierEdges = flag.Int("hier-edges", 0, "edge aggregators for -hier (0 = sqrt of stations)")
-
-		serveBench    = flag.String("serve-bench", "", "run the scoring-service load generator instead and write its perf record (points/sec, p50/p99 verdict latency) to this path")
-		serveShards   = flag.Int("serve-shards", 0, "scoring shards for -serve-bench (0 = GOMAXPROCS)")
-		serveStations = flag.Int("serve-stations", 32, "station fleet size for -serve-bench")
-		servePoints   = flag.Int("serve-points", 4000, "points per station for -serve-bench")
-		serveBatch    = flag.Int("serve-batch", 16, "batch threshold for -serve-bench")
-		serveDepth    = flag.Int("serve-depth", 512, "per-shard queue depth for -serve-bench")
-		serveReloads  = flag.Int("serve-reloads", 2, "hot model reloads fired mid-run during -serve-bench")
-		serveProds    = flag.Int("serve-producers", 0, "producer goroutines for -serve-bench (0 = min(2×GOMAXPROCS, stations))")
-		serveInflight = flag.Int("serve-inflight", 0, "per-producer in-flight window for -serve-bench (0 = 64, 1 = closed loop)")
-		serveSkew     = flag.Float64("serve-skew", 0, "fraction of -serve-bench stations mined onto shard 0 (hot-shard scenario)")
-		serveNoSteal  = flag.Bool("serve-no-steal", false, "disable wave rebalancing between shards for -serve-bench")
-
-		serveMatrix = flag.String("serve-matrix", "", "run the multi-core scaling sweep (GOMAXPROCS × shards × batch × depth × producers × skew) and write the per-arm records to this path")
-
-		chaosRecovery = flag.Bool("chaos-recovery", false, "run the fault-injection recovery matrix (conn-drop/stall/corrupt/coordinator-crash/server-restart × flat/2-tier) and fail if any arm exceeds its recovery tolerance; -bench-json writes the per-arm records")
-		chaosRounds   = flag.Int("chaos-rounds", 4, "federated rounds per -chaos-recovery arm")
-
-		attackMatrix   = flag.Bool("attack-matrix", false, "run the adversarial evaluation matrix (FDI/temporal/DDoS detection cells plus Byzantine containment cells across aggregators) and fail if any cell misses its declared bound; -bench-json writes the per-cell records")
-		attackBaseline = flag.String("attack-baseline", "", "also gate -attack-matrix verdicts against this committed record (zero regressions allowed, see BENCH_pr10.json)")
-
-		benchCompare = flag.String("bench-compare", "", "compare two serve bench/matrix files, BASE.json,NEW.json, and fail on regressions beyond the tolerance band")
-		cmpTputDrop  = flag.Float64("compare-tput-drop", 0.15, "max tolerated fractional throughput drop for -bench-compare")
-		cmpP99Growth = flag.Float64("compare-p99-growth", 0.25, "max tolerated fractional p99 latency growth for -bench-compare")
 	)
 	flag.Parse()
-
-	if *benchCompare != "" {
-		parts := strings.Split(*benchCompare, ",")
-		if len(parts) != 2 {
-			return fmt.Errorf("-bench-compare wants BASE.json,NEW.json, got %q", *benchCompare)
-		}
-		return runBenchCompare(strings.TrimSpace(parts[0]), strings.TrimSpace(parts[1]), *cmpTputDrop, *cmpP99Growth)
-	}
-
-	if *serveMatrix != "" {
-		return runServeMatrix(*serveMatrix, *seed, *quick)
-	}
-
-	if *chaosRecovery {
-		return runChaosBench(*bench, *chaosRounds, *seed, *quick)
-	}
-
-	if *attackMatrix {
-		return runAttackBench(*bench, *attackBaseline, *seed, *quick)
-	}
-
-	if *serveBench != "" {
-		return runServeBench(*serveBench, serveBenchOpts{
-			Shards:     *serveShards,
-			Stations:   *serveStations,
-			PerStation: *servePoints,
-			Batch:      *serveBatch,
-			Depth:      *serveDepth,
-			Producers:  *serveProds,
-			Inflight:   *serveInflight,
-			Reloads:    *serveReloads,
-			Skew:       *serveSkew,
-			NoSteal:    *serveNoSteal,
-			Seed:       *seed,
-		})
-	}
-
-	if *hier != "" {
-		counts, err := parseCounts(*hier)
-		if err != nil {
-			return err
-		}
-		rounds := 5
-		if *quick {
-			rounds = 2
-		}
-		return runHierBench(counts, *hierEdges, rounds, *seed, *quick, *bench)
-	}
 
 	p := eval.PaperParams(*seed)
 	if *quick {
@@ -195,29 +81,11 @@ func run() error {
 	fmt.Fprintf(os.Stderr, "running %s configuration (seed %d, %d hours/client)...\n",
 		configName(*quick), *seed, p.Hours)
 	start := time.Now()
-	// Run the pipeline in its two phases so -bench-json can time them
-	// separately (Prepare + RunScenarios is exactly eval.Run).
-	clients, err := eval.Prepare(p)
+	rep, err := eval.Run(p)
 	if err != nil {
 		return err
 	}
-	prepareSec := time.Since(start).Seconds()
-	rep, err := eval.RunScenarios(p, clients)
-	if err != nil {
-		return err
-	}
-	totalSec := time.Since(start).Seconds()
-	fmt.Fprintf(os.Stderr, "pipeline completed in %.1fs\n\n", totalSec)
-
-	if *bench != "" {
-		rec := newBenchRecord(configName(*quick), p, rep, prepareSec, totalSec)
-		if rec.Wire, err = measureWire(p); err != nil {
-			return err
-		}
-		if err := writeBenchJSON(*bench, rec); err != nil {
-			return err
-		}
-	}
+	fmt.Fprintf(os.Stderr, "pipeline completed in %.1fs\n\n", time.Since(start).Seconds())
 
 	if *jsonOut != "" {
 		f, err := os.Create(*jsonOut)

@@ -117,3 +117,89 @@ func TestRunContainmentCells(t *testing.T) {
 		}
 	}
 }
+
+// amCellKeys pins the matrix's cell set: 14 detection cells (7 families ×
+// 2 intensities) and 40 containment cells (3 attacks × f=1..4 × 3
+// aggregators flat, plus 4 edge-tier spot checks). Dropping, renaming or
+// adding a cell must be a deliberate edit here.
+var amCellKeys = []string{
+	"detection/ddos/low/-/-",
+	"detection/ddos/high/-/-",
+	"detection/fdi-bias/low/-/-",
+	"detection/fdi-bias/high/-/-",
+	"detection/fdi-ramp/low/-/-",
+	"detection/fdi-ramp/high/-/-",
+	"detection/fdi-pulse/low/-/-",
+	"detection/fdi-pulse/high/-/-",
+	"detection/temporal-reorder/low/-/-",
+	"detection/temporal-reorder/high/-/-",
+	"detection/temporal-replay/low/-/-",
+	"detection/temporal-replay/high/-/-",
+	"detection/temporal-gap/low/-/-",
+	"detection/temporal-gap/high/-/-",
+	"containment/sign-flip/f=1/fedavg/flat",
+	"containment/sign-flip/f=2/fedavg/flat",
+	"containment/sign-flip/f=3/fedavg/flat",
+	"containment/sign-flip/f=4/fedavg/flat",
+	"containment/scaled-poison/f=1/fedavg/flat",
+	"containment/scaled-poison/f=2/fedavg/flat",
+	"containment/scaled-poison/f=3/fedavg/flat",
+	"containment/scaled-poison/f=4/fedavg/flat",
+	"containment/collude/f=1/fedavg/flat",
+	"containment/collude/f=2/fedavg/flat",
+	"containment/collude/f=3/fedavg/flat",
+	"containment/collude/f=4/fedavg/flat",
+	"containment/sign-flip/f=1/median/flat",
+	"containment/sign-flip/f=2/median/flat",
+	"containment/sign-flip/f=3/median/flat",
+	"containment/sign-flip/f=4/median/flat",
+	"containment/scaled-poison/f=1/median/flat",
+	"containment/scaled-poison/f=2/median/flat",
+	"containment/scaled-poison/f=3/median/flat",
+	"containment/scaled-poison/f=4/median/flat",
+	"containment/collude/f=1/median/flat",
+	"containment/collude/f=2/median/flat",
+	"containment/collude/f=3/median/flat",
+	"containment/collude/f=4/median/flat",
+	"containment/sign-flip/f=1/trimmed-mean(2)/flat",
+	"containment/sign-flip/f=2/trimmed-mean(2)/flat",
+	"containment/sign-flip/f=3/trimmed-mean(2)/flat",
+	"containment/sign-flip/f=4/trimmed-mean(2)/flat",
+	"containment/scaled-poison/f=1/trimmed-mean(2)/flat",
+	"containment/scaled-poison/f=2/trimmed-mean(2)/flat",
+	"containment/scaled-poison/f=3/trimmed-mean(2)/flat",
+	"containment/scaled-poison/f=4/trimmed-mean(2)/flat",
+	"containment/collude/f=1/trimmed-mean(2)/flat",
+	"containment/collude/f=2/trimmed-mean(2)/flat",
+	"containment/collude/f=3/trimmed-mean(2)/flat",
+	"containment/collude/f=4/trimmed-mean(2)/flat",
+	"containment/collude/f=1/fedavg/2-tier",
+	"containment/collude/f=3/median/2-tier",
+	"containment/collude/f=4/median/2-tier",
+	"containment/collude/f=2/trimmed-mean(2)/2-tier",
+}
+
+// TestRunAttackMatrix is the adversarial gate: the full matrix at seed 42
+// (both planes) must produce exactly the pinned cells, in order, and every
+// cell must clear its declared bound. -v prints both tables.
+func TestRunAttackMatrix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full adversarial matrix in -short mode")
+	}
+	cells, err := RunAttackMatrix(AttackMatrixParams{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Log("\n" + FormatAttackMatrix(cells))
+	if len(cells) != len(amCellKeys) {
+		t.Fatalf("got %d cells, want %d", len(cells), len(amCellKeys))
+	}
+	for i, c := range cells {
+		if c.Key() != amCellKeys[i] {
+			t.Errorf("cell %d is %s, want %s", i, c.Key(), amCellKeys[i])
+		}
+		if !c.Pass {
+			t.Errorf("cell %s outside its declared bound (expect %s): %+v", c.Key(), c.Expect, c)
+		}
+	}
+}

@@ -1,12 +1,14 @@
 package fed
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"io"
 	"math"
 	"net"
+	"syscall"
 	"testing"
 	"time"
 
@@ -100,13 +102,21 @@ func TestTransportGobCoordinatorRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	req := legacyGobRequest{Hello: true}
-	if err := gob.NewEncoder(conn).Encode(&req); err != nil {
+	// One write: gob emits the type descriptor and the value separately,
+	// and the station may already have hung up on the first.
+	var req bytes.Buffer
+	if err := gob.NewEncoder(&req).Encode(&legacyGobRequest{Hello: true}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(req.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := io.ReadAll(conn); err != nil {
-		t.Fatalf("station should close the connection cleanly, got %v", err)
+	// The contract is "dropped promptly". Whether the kernel answers the
+	// station's close-with-unread-bytes with FIN or RST is not ours to
+	// assert; only the deadline expiring means the station kept us.
+	if _, err := io.ReadAll(conn); err != nil && !errors.Is(err, syscall.ECONNRESET) {
+		t.Fatalf("station should drop the connection promptly, got %v", err)
 	}
 	// The station must still serve binary peers afterwards.
 	rc := NewRemoteClient("bin", srv.Addr())

@@ -21,8 +21,7 @@ type mpscSlot struct {
 // mpsc is a bounded multi-producer single-consumer ring (Vyukov's bounded
 // queue specialized to one consumer), replacing the per-shard Go channel
 // on the submit hot path: producers contend only on one tail CAS and the
-// slot they won, never on a channel lock, and a batch of observations can
-// reserve its slots with a single CAS (enqueueN).
+// slot they won, never on a channel lock.
 //
 // The consumer parks on a 1-token wake channel when the ring is empty.
 // The parked flag and the slot sequence stores are all seq-cst atomics,
@@ -30,22 +29,26 @@ type mpscSlot struct {
 // parked and sends the wake token, or the consumer's pre-park recheck
 // observes the new task. Either way no task is left behind with the
 // consumer asleep.
+//
+// Each group of fields fills exactly one cache line, so the struct is a
+// whole number of lines and the allocator's size class keeps every ring
+// line-aligned: the parked flag the consumer writes on each park never
+// shares a line with the read-only header of the ring allocated next to
+// it, and the ring's layout is the same in every run.
 type mpsc struct {
 	slots []mpscSlot
 	mask  uint64
+	_     [cacheLine - 32]byte
 
-	_    [cacheLine]byte
 	tail atomic.Uint64 // producers: next ticket
 	_    [cacheLine - 8]byte
+
 	head uint64 // consumer-private: next slot to read
 	_    [cacheLine - 8]byte
-	// headPub is the consumer's published progress. Producers read it to
-	// size multi-slot reservations; it may lag head, which only makes
-	// enqueueN conservative (it under-counts free slots, never over).
-	headPub atomic.Uint64
-	_       [cacheLine - 8]byte
-	parked  atomic.Bool
-	wake    chan struct{}
+
+	parked atomic.Bool
+	wake   chan struct{}
+	_      [cacheLine - 16]byte
 }
 
 // newMPSC builds a ring with capacity rounded up to the next power of two
@@ -88,47 +91,23 @@ func (q *mpsc) enqueue(t task) bool {
 	}
 }
 
-// enqueueBatch reserves up to len(values) consecutive slots with one tail
-// CAS and publishes one task per value in order (all for station st,
-// sharing reply and the submit timestamp t0), returning how many were
-// accepted. Tasks are constructed directly in their slots, so a batched
-// submit allocates nothing. The reservation is sized from headPub, which
-// may lag the consumer — so a near-full ring can under-accept, but a
-// reservation never claims a slot the consumer hasn't freed (the single
-// consumer frees slots strictly in order, so free space behind headPub is
-// contiguous). When the conservative estimate says "full", one exact
-// single-slot attempt distinguishes a truly full ring from a stale
-// estimate.
+// enqueueBatch publishes one task per value in order (all for station
+// st, sharing reply and the submit timestamp t0) and returns how many were
+// accepted: it stops at the first value the ring has no room for. Each
+// value goes through enqueue, so fullness is decided by the slot sequence
+// alone — the one rule the ring trusts.
 func (q *mpsc) enqueueBatch(st *station, values []float64, reply func(Verdict), t0 int64) int {
-	want := uint64(len(values))
-	for {
-		pos := q.tail.Load()
-		free := uint64(len(q.slots)) - (pos - q.headPub.Load())
-		k := want
-		if k > free {
-			k = free
+	for i, v := range values {
+		if !q.enqueue(task{st: st, value: v, reply: reply, t0: t0}) {
+			return i
 		}
-		if k == 0 {
-			if q.enqueue(task{st: st, value: values[0], reply: reply, t0: t0}) {
-				return 1
-			}
-			return 0
-		}
-		if !q.tail.CompareAndSwap(pos, pos+k) {
-			continue
-		}
-		for i := uint64(0); i < k; i++ {
-			s := &q.slots[(pos+i)&q.mask]
-			s.t = task{st: st, value: values[i], reply: reply, t0: t0}
-			s.seq.Store(pos + i + 1)
-		}
-		return int(k)
 	}
+	return len(values)
 }
 
 // dequeue pops the next task (consumer only). ok is false when the head
-// slot holds no published task — the ring is empty, or a reservation's
-// producer has not finished writing it yet (it will, promptly).
+// slot holds no published task — the ring is empty, or the producer that
+// claimed the slot has not finished writing it yet (it will, promptly).
 func (q *mpsc) dequeue() (t task, ok bool) {
 	s := &q.slots[q.head&q.mask]
 	if int64(s.seq.Load())-int64(q.head+1) < 0 {
@@ -140,11 +119,6 @@ func (q *mpsc) dequeue() (t task, ok bool) {
 	q.head++
 	return t, true
 }
-
-// publishHead exposes the consumer's progress to enqueueN reservations.
-// Called once per drain batch (and before parking) rather than per slot,
-// so the producers' line is not invalidated on every dequeue.
-func (q *mpsc) publishHead() { q.headPub.Store(q.head) }
 
 // empty reports whether the head slot holds a published task.
 func (q *mpsc) empty() bool {

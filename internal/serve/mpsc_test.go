@@ -4,11 +4,36 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // mkTask builds a dequeue-identifiable task (value encodes identity; the
 // queue never inspects fields).
 func mkTask(v float64) task { return task{value: v} }
+
+// TestMPSCLayout pins the ring to whole cache lines — header, tail, head
+// and parked/wake on one line each — so that the allocator keeps every
+// ring line-aligned and neighbouring rings never false-share.
+func TestMPSCLayout(t *testing.T) {
+	var q mpsc
+	if size := unsafe.Sizeof(q); size%cacheLine != 0 {
+		t.Fatalf("mpsc is %d bytes, not a whole number of %d-byte lines", size, cacheLine)
+	}
+	lines := []uintptr{
+		unsafe.Offsetof(q.slots) / cacheLine,
+		unsafe.Offsetof(q.tail) / cacheLine,
+		unsafe.Offsetof(q.head) / cacheLine,
+		unsafe.Offsetof(q.parked) / cacheLine,
+	}
+	for i, l := range lines {
+		if l != uintptr(i) {
+			t.Fatalf("field group %d sits on line %d", i, l)
+		}
+	}
+	if unsafe.Offsetof(q.wake)/cacheLine != lines[3] {
+		t.Fatal("wake is not on parked's line")
+	}
+}
 
 // TestMPSCFIFO drives more items than the capacity through the ring in
 // rounds and checks strict FIFO order.
@@ -33,7 +58,6 @@ func TestMPSCFIFO(t *testing.T) {
 			}
 			want++
 		}
-		q.publishHead()
 	}
 	if want != next || want == 0 {
 		t.Fatalf("drained %v of %v enqueued", want, next)
@@ -55,15 +79,14 @@ func TestMPSCExactFull(t *testing.T) {
 	if _, ok := q.dequeue(); !ok {
 		t.Fatal("dequeue from full ring failed")
 	}
-	// No publishHead yet: the single-slot path must still detect the
-	// freed slot exactly (via its sequence, not the stale headPub).
+	// The freed slot is detected exactly, via its sequence.
 	if !q.enqueue(mkTask(8)) {
 		t.Fatal("enqueue rejected with one slot free")
 	}
 }
 
-// TestMPSCEnqueueBatch: a batch reservation accepts up to the free space
-// visible through the published head and keeps slot order.
+// TestMPSCEnqueueBatch: a batch accepts up to the free space and keeps
+// slot order.
 func TestMPSCEnqueueBatch(t *testing.T) {
 	q := newMPSC(8)
 	vals := []float64{0, 1, 2, 3, 4}
@@ -74,7 +97,6 @@ func TestMPSCEnqueueBatch(t *testing.T) {
 	if n := q.enqueueBatch(nil, []float64{5, 6, 7, 8, 9}, nil, 0); n != 3 {
 		t.Fatalf("batch accepted %d, want 3", n)
 	}
-	// Truly full now; the conservative-estimate fallback must agree.
 	if n := q.enqueueBatch(nil, []float64{99}, nil, 0); n != 0 {
 		t.Fatalf("batch accepted %d into a full ring", n)
 	}
@@ -83,6 +105,42 @@ func TestMPSCEnqueueBatch(t *testing.T) {
 		if !ok || got.value != float64(i) {
 			t.Fatalf("dequeue %d = %v ok=%v", i, got.value, ok)
 		}
+	}
+}
+
+// TestMPSCBatchAfterLappedTail is the regression test for the batch
+// reservation that sized itself from a lagging published head: once
+// single-slot enqueues had pushed tail a lap past that stale head, the
+// unsigned free-space estimate underflowed and the batch overwrote
+// undrained slots. Single goroutine, deterministic.
+func TestMPSCBatchAfterLappedTail(t *testing.T) {
+	q := newMPSC(8)
+	for i := 0; i < 8; i++ {
+		if !q.enqueue(mkTask(float64(i))) {
+			t.Fatalf("enqueue %d rejected below capacity", i)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		if got, ok := q.dequeue(); !ok || got.value != float64(i) {
+			t.Fatalf("dequeue %d = %v ok=%v", i, got.value, ok)
+		}
+	}
+	for i := 8; i < 12; i++ {
+		if !q.enqueue(mkTask(float64(i))) {
+			t.Fatalf("enqueue %d rejected with a slot free", i)
+		}
+	}
+	// tail = 12, head = 4: the ring is exactly full.
+	if n := q.enqueueBatch(nil, []float64{100, 101, 102, 103}, nil, 0); n != 0 {
+		t.Fatalf("batch accepted %d into a full ring", n)
+	}
+	for i := 4; i < 12; i++ {
+		if got, ok := q.dequeue(); !ok || got.value != float64(i) {
+			t.Fatalf("dequeue = %v ok=%v, want task %d intact", got.value, ok, i)
+		}
+	}
+	if _, ok := q.dequeue(); ok {
+		t.Fatal("ring should be empty")
 	}
 }
 
@@ -107,7 +165,6 @@ func TestMPSCConcurrent(t *testing.T) {
 		for {
 			tk, ok := q.dequeue()
 			if !ok {
-				q.publishHead()
 				q.parked.Store(true)
 				if !q.empty() {
 					q.parked.Store(false)
@@ -185,8 +242,8 @@ func TestMPSCConcurrent(t *testing.T) {
 	}
 }
 
-// TestMPSCBatchConcurrent hammers enqueueBatch specifically (the
-// single-CAS multi-slot reservation) from many producers.
+// TestMPSCBatchConcurrent hammers enqueueBatch specifically from many
+// producers.
 func TestMPSCBatchConcurrent(t *testing.T) {
 	const producers = 8
 	perProducer := 4096
@@ -204,7 +261,6 @@ func TestMPSCBatchConcurrent(t *testing.T) {
 		for {
 			tk, ok := q.dequeue()
 			if !ok {
-				q.publishHead()
 				q.parked.Store(true)
 				if !q.empty() {
 					q.parked.Store(false)

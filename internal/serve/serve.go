@@ -449,8 +449,8 @@ func (h *Station) Submit(value float64, reply func(Verdict)) error {
 }
 
 // SubmitN enqueues a batch of consecutive observations for the handle's
-// station with a single ingress-ring reservation (one tail CAS for the
-// whole batch). reply is invoked once per accepted observation, in
+// station, resolving the station and stamping the submit time once for
+// the whole batch. reply is invoked once per accepted observation, in
 // submission order. It returns how many observations were accepted:
 // n == len(values) on success; 0 ≤ n < len(values) with ErrBacklog when
 // the shard's ring filled part-way (the accepted prefix is in flight and
@@ -757,7 +757,6 @@ func (sh *shard) loop() {
 			}
 			sh.cur = append(sh.cur, t)
 		}
-		sh.q.publishHead()
 		if len(sh.cur) == 0 {
 			if sh.idle() {
 				return
