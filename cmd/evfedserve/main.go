@@ -83,7 +83,7 @@ func run(fs *flag.FlagSet, args []string, onStart func(started) (stop <-chan str
 		addr      = fs.String("addr", ":9090", "scoring listener address")
 		reload    = fs.String("reload-addr", ":9091", "HTTP control-plane address (empty disables)")
 		shards    = fs.Int("shards", 0, "scoring shards (0 = GOMAXPROCS)")
-		batch     = fs.Int("batch", 8, "pending-window count that triggers batched scoring")
+		batch     = fs.Int("batch", 8, "steal gate: a wave of at least 2×N windows offers chunks of ≥ N to idle shards (every wave is scored batched)")
 		depth     = fs.Int("depth", 1024, "per-shard bounded queue depth")
 		mitigate  = fs.Bool("mitigate", false, "replace flagged values with their reconstruction")
 		synth     = fs.Bool("train-synthetic", false, "train a detector on synthetic zone data at startup")

@@ -10,6 +10,7 @@ package autoencoder
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 
@@ -176,36 +177,60 @@ func (d *Detector) NewBatchScorer() *BatchScorer {
 	return s
 }
 
-// ScoreWindowsInto writes the reconstruction MSE of each window (all of
-// the detector's SeqLen) into dst[i]. len(dst) must equal len(windows).
-// Windows are reconstructed scoreBatch at a time through the batched
-// forward path; in steady state the call performs no allocation.
-func (s *BatchScorer) ScoreWindowsInto(dst []float64, windows [][]float64) error {
+// checkWindows validates a scoring call: a trained detector, n output
+// slots for the windows, and every window exactly SeqLen long.
+func (s *BatchScorer) checkWindows(n int, windows [][]float64) error {
 	if s.det == nil || s.det.model == nil {
 		return ErrNotTrained
 	}
-	if len(dst) != len(windows) {
-		return fmt.Errorf("%w: %d scores for %d windows", ErrBadConfig, len(dst), len(windows))
+	if n != len(windows) {
+		return fmt.Errorf("%w: %d scores for %d windows", ErrBadConfig, n, len(windows))
 	}
-	seqLen := s.det.cfg.SeqLen
 	for i, w := range windows {
-		if len(w) != seqLen {
-			return fmt.Errorf("%w: window %d has %d values, need %d", ErrBadConfig, i, len(w), seqLen)
+		if len(w) != s.det.cfg.SeqLen {
+			return fmt.Errorf("%w: window %d has %d values, need %d", ErrBadConfig, i, len(w), s.det.cfg.SeqLen)
 		}
+	}
+	return nil
+}
+
+// chunkLen is the size of the next forward pass over rest windows: the
+// largest power of two not above min(rest, scoreBatch). A wave of any
+// size is scored as a sum of the six batch heights 32, 16, 8, 4, 2 and
+// 1, so the scorer's workspace never holds more than six sets of batch
+// panels, however many wave sizes it meets.
+func chunkLen(rest int) int {
+	if rest >= scoreBatch {
+		return scoreBatch
+	}
+	return 1 << (bits.Len(uint(rest)) - 1)
+}
+
+// reconstruct runs one batched forward pass over at most scoreBatch
+// windows. The returned sequences alias the scorer's workspace until the
+// next call.
+func (s *BatchScorer) reconstruct(windows [][]float64) []nn.Seq {
+	for i, w := range windows {
+		windowSeq(s.seqs[i], w, 0, s.det.cfg.SeqLen)
+	}
+	return s.det.model.PredictBatchWS(s.seqs[:len(windows)], s.ws)
+}
+
+// ScoreWindowsInto writes the reconstruction MSE of each window (all of
+// the detector's SeqLen) into dst[i]. len(dst) must equal len(windows).
+// Windows are reconstructed in power-of-two chunks (chunkLen) through the
+// batched forward path; in steady state the call performs no allocation.
+func (s *BatchScorer) ScoreWindowsInto(dst []float64, windows [][]float64) error {
+	if err := s.checkWindows(len(dst), windows); err != nil {
+		return err
 	}
 	var loss nn.MSE
-	for lo := 0; lo < len(windows); lo += scoreBatch {
-		hi := lo + scoreBatch
-		if hi > len(windows) {
-			hi = len(windows)
-		}
-		for i := lo; i < hi; i++ {
-			windowSeq(s.seqs[i-lo], windows[i], 0, seqLen)
-		}
-		outs := s.det.model.PredictBatchWS(s.seqs[:hi-lo], s.ws)
-		for i, out := range outs {
+	for lo := 0; lo < len(windows); {
+		hi := lo + chunkLen(len(windows)-lo)
+		for i, out := range s.reconstruct(windows[lo:hi]) {
 			dst[lo+i] = loss.Value(out, s.seqs[i])
 		}
+		lo = hi
 	}
 	return nil
 }
@@ -215,45 +240,32 @@ func (s *BatchScorer) ScoreWindowsInto(dst []float64, windows [][]float64) error
 // the streaming criterion of StreamScorer.ScoreLast — into scores[i]. If
 // recons is non-nil (same length) it receives the reconstruction of each
 // window's final point, which a mitigation stage can substitute for a
-// flagged raw value. Windows are reconstructed scoreBatch at a time
-// through the batched forward path; in steady state the call performs no
-// allocation. This is the sharded scoring service's batch path: scores
-// agree with the single-window streaming path to within the batched
-// kernels' summation-order tolerance (DESIGN.md §7), which is what makes
-// batch-threshold crossover invisible to callers (tested).
+// flagged raw value. Windows are reconstructed in power-of-two chunks
+// (chunkLen) through the batched forward path; in steady state the call
+// performs no allocation. This is the sharded scoring service's only
+// scoring path. The batched kernels are row-invariant (DESIGN.md §7), so
+// a window's score and reconstruction are bit-identical whatever wave it
+// arrives in and wherever it sits in it; they agree with the per-sample
+// StreamScorer to ~1e-12.
 func (s *BatchScorer) ScoreLastInto(scores, recons []float64, windows [][]float64) error {
-	if s.det == nil || s.det.model == nil {
-		return ErrNotTrained
-	}
-	if len(scores) != len(windows) {
-		return fmt.Errorf("%w: %d scores for %d windows", ErrBadConfig, len(scores), len(windows))
+	if err := s.checkWindows(len(scores), windows); err != nil {
+		return err
 	}
 	if recons != nil && len(recons) != len(windows) {
 		return fmt.Errorf("%w: %d recons for %d windows", ErrBadConfig, len(recons), len(windows))
 	}
-	seqLen := s.det.cfg.SeqLen
-	for i, w := range windows {
-		if len(w) != seqLen {
-			return fmt.Errorf("%w: window %d has %d values, need %d", ErrBadConfig, i, len(w), seqLen)
-		}
-	}
-	for lo := 0; lo < len(windows); lo += scoreBatch {
-		hi := lo + scoreBatch
-		if hi > len(windows) {
-			hi = len(windows)
-		}
-		for i := lo; i < hi; i++ {
-			windowSeq(s.seqs[i-lo], windows[i], 0, seqLen)
-		}
-		outs := s.det.model.PredictBatchWS(s.seqs[:hi-lo], s.ws)
-		for i, out := range outs {
-			rec := out[seqLen-1][0]
-			d := windows[lo+i][seqLen-1] - rec
+	last := s.det.cfg.SeqLen - 1
+	for lo := 0; lo < len(windows); {
+		hi := lo + chunkLen(len(windows)-lo)
+		for i, out := range s.reconstruct(windows[lo:hi]) {
+			rec := out[last][0]
+			d := windows[lo+i][last] - rec
 			scores[lo+i] = d * d
 			if recons != nil {
 				recons[lo+i] = rec
 			}
 		}
+		lo = hi
 	}
 	return nil
 }

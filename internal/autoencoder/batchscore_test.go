@@ -122,6 +122,80 @@ func TestBatchScorerSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestScoreLastWaveInvariant: a window's score and reconstruction do not
+// depend on the wave it is scored in. Each of 33 windows scored alone
+// must be bit-identical to the same window at every position of waves of
+// 1…33 (wave w holds windows (w+p) mod 33 at positions p = 0…w−1, so
+// every chunk height and every row slot of the kernels is exercised).
+func TestScoreLastWaveInvariant(t *testing.T) {
+	det, values := tinyDetector(t)
+	seqLen := det.Config().SeqLen
+	const n = 33
+	windows := make([][]float64, n)
+	for i := range windows {
+		windows[i] = values[7*i : 7*i+seqLen]
+	}
+	bs := det.NewBatchScorer()
+	alone := make([]float64, n)
+	aloneRec := make([]float64, n)
+	for i, w := range windows {
+		if err := bs.ScoreLastInto(alone[i:i+1], aloneRec[i:i+1], [][]float64{w}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wave := make([][]float64, n)
+	scores := make([]float64, n)
+	recons := make([]float64, n)
+	differ := 0
+	for size := 1; size <= n; size++ {
+		for p := 0; p < size; p++ {
+			wave[p] = windows[(size+p)%n]
+		}
+		if err := bs.ScoreLastInto(scores[:size], recons[:size], wave[:size]); err != nil {
+			t.Fatal(err)
+		}
+		for p := 0; p < size; p++ {
+			i := (size + p) % n
+			if scores[p] != alone[i] || recons[p] != aloneRec[i] {
+				if differ == 0 {
+					t.Errorf("window %d at position %d of a wave of %d: score %v recon %v, alone %v %v",
+						i, p, size, scores[p], recons[p], alone[i], aloneRec[i])
+				}
+				differ++
+			}
+		}
+	}
+	if differ > 0 {
+		t.Fatalf("%d of %d comparisons differ from the window scored alone", differ, n*(n+1)/2)
+	}
+}
+
+// TestScoreLastMixedWavesZeroAlloc: once every chunk height has been seen,
+// a run of mixed wave sizes — the serving pattern — allocates nothing.
+func TestScoreLastMixedWavesZeroAlloc(t *testing.T) {
+	det, values := tinyDetector(t)
+	seqLen := det.Config().SeqLen
+	windows := make([][]float64, 64)
+	for i := range windows {
+		windows[i] = values[i : i+seqLen]
+	}
+	scores := make([]float64, len(windows))
+	recons := make([]float64, len(windows))
+	sizes := []int{1, 2, 3, 5, 8, 33, 1, 17, 64, 7, 1}
+	bs := det.NewBatchScorer()
+	run := func() {
+		for _, n := range sizes {
+			if err := bs.ScoreLastInto(scores[:n], recons[:n], windows[:n]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+		t.Fatalf("mixed wave sizes allocated %v times per run", allocs)
+	}
+}
+
 // BenchmarkDetectorScoreWindows measures fleet-style batched window
 // scoring through the detector (64 windows per call, batch 32 inside).
 func BenchmarkDetectorScoreWindows(b *testing.B) {

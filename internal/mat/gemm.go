@@ -24,6 +24,14 @@ import "fmt"
 // naive triple loop only in floating-point association; every run of the
 // same binary remains bit-for-bit deterministic.
 //
+// Row invariance: in MulTAdd and MulTBias every dot a_i · b_j is
+// associated the same way whether the 4×2 block, the 4×1 kernel or the
+// single-dot tail computes it (dot4x2, dot4x1 and dot1x1 share one
+// association; fmaDot4x2, fmaDot4x1 and fmaDot1x1 share one lane
+// layout). Row i of the result therefore depends on row i of a alone,
+// never on how many rows a has or where row i sits among them — which is
+// what makes a window's score independent of the wave it is scored in.
+//
 // Aliasing rules: dst must not alias a or b in any kernel. Shape
 // mismatches panic, mirroring the matvec kernels.
 
@@ -66,6 +74,49 @@ func dot4x2(a0, a1, a2, a3, b0, b1 []float64) (s00, s01, s10, s11, s20, s21, s30
 		s21 += a2[k] * y0
 		s30 += a3[k] * x0
 		s31 += a3[k] * y0
+	}
+	return
+}
+
+// dot4x1 computes four row dot products against a shared x in one sweep,
+// each with exactly dot4x2's per-dot association, so a dot comes out the
+// same bits whichever kernel computes it. It is the scalar kernel behind
+// dotQuad: every matvec and the rows a 4×2 block leaves over.
+func dot4x1(r0, r1, r2, r3, x []float64) (s0, s1, s2, s3 float64) {
+	n := len(x)
+	r0 = r0[:n] // bounds-check elimination hints
+	r1 = r1[:n]
+	r2 = r2[:n]
+	r3 = r3[:n]
+	k := 0
+	for ; k+1 < n; k += 2 {
+		x0, x1 := x[k], x[k+1]
+		s0 += r0[k]*x0 + r0[k+1]*x1
+		s1 += r1[k]*x0 + r1[k+1]*x1
+		s2 += r2[k]*x0 + r2[k+1]*x1
+		s3 += r3[k]*x0 + r3[k+1]*x1
+	}
+	if k < n {
+		x0 := x[k]
+		s0 += r0[k] * x0
+		s1 += r1[k] * x0
+		s2 += r2[k] * x0
+		s3 += r3[k] * x0
+	}
+	return
+}
+
+// dot1x1 is the one-dot form of dot4x2, for the single dots a GEMM panel
+// leaves over after its 4×2 and 4×1 blocks.
+func dot1x1(a, x []float64) (s float64) {
+	n := len(x)
+	a = a[:n] // bounds-check elimination hint
+	k := 0
+	for ; k+1 < n; k += 2 {
+		s += a[k]*x[k] + a[k+1]*x[k+1]
+	}
+	if k < n {
+		s += a[k] * x[k]
 	}
 	return
 }
@@ -191,7 +242,7 @@ func (dst *Matrix) mulTAddPanel(a, b *Matrix, j0, j1 int) {
 			di[j+3] += s3
 		}
 		for ; j < j1; j++ {
-			di[j] += dotUnroll(b.Data[j*k:j*k+k], ai)
+			di[j] += dotOne(b.Data[j*k:j*k+k], ai)
 		}
 	}
 }
@@ -298,7 +349,7 @@ func (dst *Matrix) mulTBiasPanel(a, b *Matrix, bias []float64, j0, j1 int) {
 			di[j+3] = bias[j+3] + s3
 		}
 		for ; j < j1; j++ {
-			di[j] = bias[j] + dotUnroll(b.Data[j*k:j*k+k], ai)
+			di[j] = bias[j] + dotOne(b.Data[j*k:j*k+k], ai)
 		}
 	}
 }

@@ -2,11 +2,15 @@
 
 package mat
 
-import "os"
+import (
+	"math"
+	"os"
+)
 
 // The batched GEMM kernels carry an optional AVX2+FMA fast path: the same
-// 4-row × 2-column and 2-row × 4-source register blockings as the scalar
-// micro-kernels, with each accumulator chain widened to the four f64 lanes
+// 4-row × 2-column, 4-row × 1-column and 2-row × 4-source register
+// blockings as the scalar micro-kernels (the 4×1 one also serves every
+// matvec), with each accumulator chain widened to the four f64 lanes
 // of a ymm register. The fast path is enabled only when CPUID reports
 // AVX2, FMA and OS ymm-state support; every other configuration (and the
 // EVFED_PURE_GO=1 escape hatch, used by the parity tests) runs the
@@ -20,6 +24,9 @@ func xgetbv0() (eax, edx uint32)
 
 //go:noescape
 func fmaDot4x2(a0, a1, a2, a3, b0, b1 *float64, n int, out *[8]float64)
+
+//go:noescape
+func fmaDot4x1(r0, r1, r2, r3, x *float64, n int, out *[4]float64)
 
 //go:noescape
 func fmaAxpy2x4(c *[8]float64, d0, d1, s0, s1, s2, s3 *float64, n int)
@@ -93,6 +100,50 @@ func dotBlock4x2(a0, a1, a2, a3, b0, b1 []float64, out *[8]float64) {
 		return
 	}
 	out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7] = dot4x2(a0, a1, a2, a3, b0, b1)
+}
+
+// dotQuad computes four row dot products against a shared x: the FMA
+// kernel when enabled, the scalar dot4x1 otherwise. Each dot is
+// associated exactly as one output of the matching 4×2 kernel.
+func dotQuad(r0, r1, r2, r3, x []float64) (s0, s1, s2, s3 float64) {
+	if fmaEnabled && len(x) > 0 {
+		var out [4]float64
+		fmaDot4x1(&r0[0], &r1[0], &r2[0], &r3[0], &x[0], len(x), &out)
+		return out[0], out[1], out[2], out[3]
+	}
+	return dot4x1(r0, r1, r2, r3, x)
+}
+
+// dotOne computes a single leftover dot product with the association of
+// the kernel family in use, so it matches what a 4×2 or 4×1 block would
+// have produced for the same pair of rows.
+func dotOne(a, x []float64) float64 {
+	if fmaEnabled {
+		return fmaDot1x1(a, x)
+	}
+	return dot1x1(a, x)
+}
+
+// fmaDot1x1 is one dot in the lane layout of fmaDot4x2/fmaDot4x1: lane l
+// fuses the products at k ≡ l (mod 4), the lanes reduce as
+// (l0+l2)+(l1+l3), and the n % 4 tail is fused into the reduced sum.
+// math.FMA rounds exactly as VFMADD does, so the result is bit-equal.
+func fmaDot1x1(a, x []float64) float64 {
+	n := len(x)
+	a = a[:n] // bounds-check elimination hint
+	var l0, l1, l2, l3 float64
+	k := 0
+	for ; k+3 < n; k += 4 {
+		l0 = math.FMA(a[k], x[k], l0)
+		l1 = math.FMA(a[k+1], x[k+1], l1)
+		l2 = math.FMA(a[k+2], x[k+2], l2)
+		l3 = math.FMA(a[k+3], x[k+3], l3)
+	}
+	s := (l0 + l2) + (l1 + l3)
+	for ; k < n; k++ {
+		s = math.FMA(a[k], x[k], s)
+	}
+	return s
 }
 
 // axpyBlock2x4 dispatches one 2×4 axpy block to the FMA or scalar kernel.

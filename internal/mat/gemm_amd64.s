@@ -143,6 +143,89 @@ dotstore:
 	VZEROUPPER
 	RET
 
+// func fmaDot4x1(r0, r1, r2, r3, x *float64, n int, out *[4]float64)
+//
+// out[i] = r_i · x over depth n: four rows against one shared vector (a
+// matvec step, or the rows a 4×2 block leaves over). Each dot has exactly
+// the lane layout of an fmaDot4x2 output — one 4-lane FMA chain, lanes
+// reduced (l0+l2)+(l1+l3), scalar tail fused into the reduced sum — so
+// both kernels produce the same bits for the same pair of rows.
+TEXT ·fmaDot4x1(SB), NOSPLIT, $0-56
+	MOVQ r0+0(FP), R8
+	MOVQ r1+8(FP), R9
+	MOVQ r2+16(FP), R10
+	MOVQ r3+24(FP), R11
+	MOVQ x+32(FP), R12
+	MOVQ n+40(FP), CX
+	MOVQ out+48(FP), DI
+
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-4, DX
+	JZ   quadreduce
+
+quadloop:
+	VMOVUPD (R12)(AX*8), Y12
+	VMOVUPD (R8)(AX*8), Y8
+	VMOVUPD (R9)(AX*8), Y9
+	VMOVUPD (R10)(AX*8), Y10
+	VMOVUPD (R11)(AX*8), Y11
+	VFMADD231PD Y12, Y8, Y0
+	VFMADD231PD Y12, Y9, Y1
+	VFMADD231PD Y12, Y10, Y2
+	VFMADD231PD Y12, Y11, Y3
+	ADDQ $4, AX
+	CMPQ AX, DX
+	JL   quadloop
+
+quadreduce:
+	VEXTRACTF128 $1, Y0, X8
+	VADDPD       X8, X0, X0
+	VPERMILPD    $1, X0, X8
+	VADDSD       X8, X0, X0
+	VEXTRACTF128 $1, Y1, X8
+	VADDPD       X8, X1, X1
+	VPERMILPD    $1, X1, X8
+	VADDSD       X8, X1, X1
+	VEXTRACTF128 $1, Y2, X8
+	VADDPD       X8, X2, X2
+	VPERMILPD    $1, X2, X8
+	VADDSD       X8, X2, X2
+	VEXTRACTF128 $1, Y3, X8
+	VADDPD       X8, X3, X3
+	VPERMILPD    $1, X3, X8
+	VADDSD       X8, X3, X3
+
+	CMPQ AX, CX
+	JGE  quadstore
+
+quadtail:
+	VMOVSD (R12)(AX*8), X12
+	VMOVSD (R8)(AX*8), X8
+	VMOVSD (R9)(AX*8), X9
+	VMOVSD (R10)(AX*8), X10
+	VMOVSD (R11)(AX*8), X11
+	VFMADD231SD X12, X8, X0
+	VFMADD231SD X12, X9, X1
+	VFMADD231SD X12, X10, X2
+	VFMADD231SD X12, X11, X3
+	INCQ AX
+	CMPQ AX, CX
+	JL   quadtail
+
+quadstore:
+	VMOVSD X0, (DI)
+	VMOVSD X1, 8(DI)
+	VMOVSD X2, 16(DI)
+	VMOVSD X3, 24(DI)
+	VZEROUPPER
+	RET
+
 // func fmaAxpy2x4(c *[8]float64, d0, d1, s0, s1, s2, s3 *float64, n int)
 //
 // d0 += c[0]*s0 + c[1]*s1 + c[2]*s2 + c[3]*s3

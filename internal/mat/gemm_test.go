@@ -158,6 +158,72 @@ func TestMulTAddMatchesMulVec(t *testing.T) {
 	}
 }
 
+// TestDotKernelsShareAssociation: the 4×2 block, the 4×1 kernel and the
+// single-dot tail compute each dot with one association, on the scalar
+// kernels and on whichever family the dispatchers select at run time.
+func TestDotKernelsShareAssociation(t *testing.T) {
+	r := rng.New(10)
+	for n := 0; n <= 67; n++ {
+		a := randMat(r, 4, n)
+		b := randMat(r, 2, n)
+		a0, a1, a2, a3 := a.Row(0), a.Row(1), a.Row(2), a.Row(3)
+		x, y := b.Row(0), b.Row(1)
+
+		s00, _, s10, _, s20, _, s30, _ := dot4x2(a0, a1, a2, a3, x, y)
+		q0, q1, q2, q3 := dot4x1(a0, a1, a2, a3, x)
+		for i, pair := range [][2]float64{{s00, q0}, {s10, q1}, {s20, q2}, {s30, q3}} {
+			if pair[0] != pair[1] || dot1x1(a.Row(i), x) != pair[0] {
+				t.Fatalf("n=%d row %d scalar: dot4x2 %v, dot4x1 %v, dot1x1 %v",
+					n, i, pair[0], pair[1], dot1x1(a.Row(i), x))
+			}
+		}
+
+		if n == 0 {
+			continue // the dispatchers are only called with a non-empty depth
+		}
+		var block [8]float64
+		dotBlock4x2(a0, a1, a2, a3, x, y, &block)
+		q0, q1, q2, q3 = dotQuad(a0, a1, a2, a3, x)
+		for i, q := range []float64{q0, q1, q2, q3} {
+			if q != block[2*i] || dotOne(a.Row(i), x) != q {
+				t.Fatalf("n=%d row %d dispatched: 4×2 %v, 4×1 %v, single %v",
+					n, i, block[2*i], q, dotOne(a.Row(i), x))
+			}
+		}
+	}
+}
+
+// TestMulTRowInvariant: row i of MulTBias/MulTAdd is bit-identical to the
+// same row multiplied alone, for every batch height and row position —
+// the kernel-level half of a window's score not depending on its wave.
+func TestMulTRowInvariant(t *testing.T) {
+	r := rng.New(11)
+	for _, s := range []struct{ k, n int }{{2, 13}, {7, 9}, {50, 200}, {25, 100}} {
+		w := randMat(r, s.n, s.k)
+		bias := randMat(r, 1, s.n).Row(0)
+		for rows := 1; rows <= 9; rows++ {
+			a := randMat(r, rows, s.k)
+			acc := randMat(r, rows, s.n)
+			biased := NewMatrix(rows, s.n)
+			biased.MulTBias(a, w, bias)
+			summed := acc.Clone()
+			summed.MulTAdd(a, w)
+			for i := 0; i < rows; i++ {
+				one := &Matrix{Rows: 1, Cols: s.k, Data: a.Row(i)}
+				alone := NewMatrix(1, s.n)
+				alone.MulTBias(one, w, bias)
+				aloneAcc := &Matrix{Rows: 1, Cols: s.n, Data: append([]float64(nil), acc.Row(i)...)}
+				aloneAcc.MulTAdd(one, w)
+				for j := 0; j < s.n; j++ {
+					if biased.At(i, j) != alone.At(0, j) || summed.At(i, j) != aloneAcc.At(0, j) {
+						t.Fatalf("k=%d n=%d rows=%d: row %d col %d differs from the row alone", s.k, s.n, rows, i, j)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestColSumsAdd(t *testing.T) {
 	m := &Matrix{Rows: 3, Cols: 2, Data: []float64{1, 2, 3, 4, 5, 6}}
 	dst := []float64{10, 20}

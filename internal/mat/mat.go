@@ -10,9 +10,10 @@
 // batched GEMM path (gemm.go) additionally carries AVX2+FMA micro-kernels
 // and vectorized panel activations behind runtime CPUID detection, with
 // the same scalar blocking as the portable fallback (see gemm_amd64.go);
-// EVFED_PURE_GO=1 forces the fallback everywhere. All operations are
-// allocation-free when given destination buffers, which matters inside
-// the BPTT inner loop.
+// the four-row dot kernel both paths share (dotQuad) is vectorized the
+// same way. EVFED_PURE_GO=1 forces the fallback everywhere. All
+// operations are allocation-free when given destination buffers, which
+// matters inside the BPTT inner loop.
 //
 // Note on determinism: the unrolled dot product sums into independent
 // accumulators (four scalar chains, or four FMA lanes per chain on the
@@ -108,39 +109,6 @@ func dotPair(r0, r1, x []float64) (float64, float64) {
 		a1 += r1[j] * xj
 	}
 	return a0 + b0, a1 + b1
-}
-
-// dotQuad computes four row dot products against a shared x in one sweep.
-// Four rows per pass amortizes the x loads and loop bookkeeping across 8
-// independent accumulator chains, which is what keeps both FP ports of a
-// superscalar core busy.
-func dotQuad(r0, r1, r2, r3, x []float64) (d0, d1, d2, d3 float64) {
-	n := len(x)
-	r0 = r0[:n] // bounds-check elimination hints
-	r1 = r1[:n]
-	r2 = r2[:n]
-	r3 = r3[:n]
-	var a0, b0, a1, b1, a2, b2, a3, b3 float64
-	j := 0
-	for ; j+3 < n; j += 4 {
-		xj, xj1, xj2, xj3 := x[j], x[j+1], x[j+2], x[j+3]
-		a0 += r0[j]*xj + r0[j+2]*xj2
-		b0 += r0[j+1]*xj1 + r0[j+3]*xj3
-		a1 += r1[j]*xj + r1[j+2]*xj2
-		b1 += r1[j+1]*xj1 + r1[j+3]*xj3
-		a2 += r2[j]*xj + r2[j+2]*xj2
-		b2 += r2[j+1]*xj1 + r2[j+3]*xj3
-		a3 += r3[j]*xj + r3[j+2]*xj2
-		b3 += r3[j+1]*xj1 + r3[j+3]*xj3
-	}
-	for ; j < n; j++ {
-		xj := x[j]
-		a0 += r0[j] * xj
-		a1 += r1[j] * xj
-		a2 += r2[j] * xj
-		a3 += r3[j] * xj
-	}
-	return a0 + b0, a1 + b1, a2 + b2, a3 + b3
 }
 
 // axpyUnroll computes dst += alpha * src with a 4-way unrolled loop.

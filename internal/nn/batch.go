@@ -32,6 +32,11 @@ import (
 //     may use fused multiply-adds), so outputs agree to ~1e-12 relative
 //     accuracy rather than bit-for-bit. Each path is individually
 //     deterministic for a binary/machine pair.
+//   - Batch invariance: a forward pass computes every sample's row with
+//     kernels whose association does not depend on the batch height or
+//     the row's position (mat's row-invariant GEMMs, row-wise panel
+//     activations), so in inference a sample's outputs are bit-identical
+//     whichever batch it is predicted in.
 //   - Stochastic layers draw per-sample randomness from
 //     Context.BatchRNGs[b], never from Context.RNG, so a sample's dropout
 //     mask depends only on its own sub-stream position — identical to a

@@ -239,6 +239,25 @@ func BenchmarkAEScore32Batched(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkAEScore1Batched is one window through PredictBatchWS — the
+// cost of a wave of one, the serving path at low load.
+func BenchmarkAEScore1Batched(b *testing.B) {
+	m, err := Build(AutoencoderSpec(24, 50, 25, 0), 6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	xs, _ := benchBatchData(1)
+	var loss MSE
+	ws := NewWorkspace()
+	var sink float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink += loss.Value(m.PredictBatchWS(xs, ws)[0], xs[0])
+	}
+	_ = sink
+}
+
 // BenchmarkAutoencoderStep measures forward+backward of the paper's
 // autoencoder (LSTM(50)→LSTM(25)→Repeat→LSTM(25)→LSTM(50)→Dense(1)) on a
 // 24-step window — the inner unit of per-client detector retraining.

@@ -194,12 +194,13 @@ func (l *LSTM) ForwardBatch(x *BatchSeq, ctx *Context) (*BatchSeq, any) {
 				cr[j] = zr[U+j]*cpr[j] + zr[j]*zr[2*U+j]
 			}
 		}
-		// tanh(c) over the whole B×U panel in one vectorized pass.
-		copy(ct.Data, c.Data)
-		mat.TanhPanel(ct.Data)
 		for bi := 0; bi < B; bi++ {
 			zr := z.Row(bi)
 			ctr, hr := ct.Row(bi), h.Row(bi)
+			// tanh(c) one row at a time: which elements take the vector
+			// lanes then depends on U alone, not on the batch height.
+			copy(ctr, c.Row(bi))
+			mat.TanhPanel(ctr)
 			for j := 0; j < U; j++ {
 				hr[j] = zr[3*U+j] * ctr[j]
 			}

@@ -294,7 +294,7 @@ func TestShadowScoringZeroAlloc(t *testing.T) {
 	// the measured runs.
 	cfg.ShadowSamples = 1 << 40
 	cfg.EvalEvery = 1 << 40
-	s := newTestService(t, Config{Shards: 1, BatchThreshold: 1 << 20, Rollout: cfg})
+	s := newTestService(t, Config{Shards: 1, Rollout: cfg})
 	if _, err := s.StageWeights(perturbedWeights(t, 12), 0); err != nil {
 		t.Fatal(err)
 	}

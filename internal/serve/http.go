@@ -73,7 +73,7 @@ type statsJSON struct {
 	Flagged        uint64 `json:"flagged"`
 	BatchCalls     uint64 `json:"batchCalls"`
 	BatchedWindows uint64 `json:"batchedWindows"`
-	SingleWindows  uint64 `json:"singleWindows"`
+	SingleWindows  uint64 `json:"singleWindows"` // always 0 (Stats.SingleWindows)
 	Rejected       uint64 `json:"rejected"`
 	Stations       uint64 `json:"stations"`
 	Evicted        uint64 `json:"evicted"`
@@ -335,6 +335,6 @@ func httpError(w http.ResponseWriter, status int, msg string) {
 
 // String summarizes the service for startup logs.
 func (s *Service) String() string {
-	return fmt.Sprintf("serve: %d shards, queue %d, batch ≥%d, seqLen %d, epoch %d",
-		len(s.shards), s.cfg.QueueDepth, s.cfg.BatchThreshold, s.SeqLen(), s.Epoch())
+	return fmt.Sprintf("serve: %d shards, queue %d, steal at ≥%d windows, seqLen %d, epoch %d",
+		len(s.shards), s.cfg.QueueDepth, 2*s.cfg.BatchThreshold, s.SeqLen(), s.Epoch())
 }

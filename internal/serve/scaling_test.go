@@ -299,7 +299,6 @@ func TestStealMechanics(t *testing.T) {
 	c.windows = windows
 	c.scores = scores
 	c.recons = recons
-	c.batchMin = 4
 	c.byHelper = false
 	sh0.offers[0].Store(c)
 
@@ -408,16 +407,11 @@ func TestStealParity(t *testing.T) {
 			t.Fatalf("station %s: %d vs %d verdicts", name, len(a), len(b))
 		}
 		for i := range a {
-			if a[i].Index != b[i].Index || a[i].Flagged != b[i].Flagged {
+			// Chunked scoring is row-invariant, so the streams are
+			// bit-identical, not merely close.
+			if a[i].StreamDecision != b[i].StreamDecision {
 				t.Fatalf("station %s point %d: steal-on %+v vs steal-off %+v",
 					name, i, a[i].StreamDecision, b[i].StreamDecision)
-			}
-			d := a[i].Score - b[i].Score
-			if d < 0 {
-				d = -d
-			}
-			if d > 1e-9 {
-				t.Fatalf("station %s point %d: score drift %v", name, i, d)
 			}
 		}
 	}

@@ -17,11 +17,12 @@
 //     Station handle that skips the registry lookup entirely, and the
 //     parked-consumer wake protocol makes the ring lock- and
 //     channel-free in steady state.
-//   - A shard drains its ring in batches: when enough stations have full
-//     windows pending, they are scored through one batched GEMM inference
-//     pass (autoencoder.BatchScorer); below the threshold each window is
-//     scored individually. Both paths agree to within the batched
-//     kernels' summation-order tolerance, so the crossover is invisible.
+//   - A shard drains its ring in waves, and every wave's full windows —
+//     one window or hundreds — are scored through the batched GEMM
+//     inference path (autoencoder.BatchScorer, in power-of-two chunks).
+//     The kernels are row-invariant, so a window's score does not depend
+//     on the wave it lands in: a station fed point by point gets the
+//     same bits as one fed in bulk next to hundreds of others.
 //   - A hot shard (skewed station hash) offers the scoring half of an
 //     oversized wave to idle shards (steal.go): only the pure inference
 //     pass moves — rings, mitigation rewrites and verdict delivery stay
@@ -91,9 +92,10 @@ type Config struct {
 	// ring rejects Submit with ErrBacklog. Rounded up to a power of two
 	// (the ring's index math requires it). 0 = 1024.
 	QueueDepth int
-	// BatchThreshold is the pending-window count at which a shard's drain
-	// switches from per-window scoring to one batched inference pass.
-	// 0 = 8; 1 batches always.
+	// BatchThreshold sets the steal gate: a wave of at least
+	// 2×BatchThreshold ready windows offers chunks of at least
+	// BatchThreshold windows to idle shards (steal.go). Every wave is
+	// scored through the batched path whatever its size. 0 = 8.
 	BatchThreshold int
 	// Mitigate substitutes a flagged observation's reconstruction for its
 	// raw value — in the emitted verdict and in the station's look-back
@@ -156,8 +158,10 @@ type Stats struct {
 	Warmup uint64
 	// Flagged counts verdicts over threshold.
 	Flagged uint64
-	// BatchCalls and BatchedWindows count batched scoring passes and the
-	// windows they covered; SingleWindows counts per-window scoring.
+	// BatchCalls and BatchedWindows count batched scoring passes (one per
+	// wave) and the windows they covered. SingleWindows always reads 0:
+	// every wave is scored batched; the field is kept for existing
+	// readers.
 	BatchCalls     uint64
 	BatchedWindows uint64
 	SingleWindows  uint64
@@ -272,8 +276,8 @@ func New(cfg Config) (*Service, error) {
 	}
 	if cfg.BatchThreshold > cfg.QueueDepth+1 {
 		// A drain can never hold more than the ring's capacity, so a
-		// larger threshold would silently disable the batched path the
-		// caller asked for.
+		// larger threshold would silently disable the stealing the caller
+		// asked for.
 		cfg.BatchThreshold = cfg.QueueDepth + 1
 	}
 	if cfg.MaxStations == 0 {
@@ -624,7 +628,6 @@ func (s *Service) Stats() Stats {
 		out.Flagged += sh.flagged.Load()
 		out.BatchCalls += sh.batchCalls.Load()
 		out.BatchedWindows += sh.batchedWin.Load()
-		out.SingleWindows += sh.singleWin.Load()
 		out.ShadowWindows += sh.shadowWin.Load()
 		out.CanaryServed += sh.canaryServed.Load()
 		out.Rejected += sh.rejected.Load()
@@ -690,26 +693,23 @@ type shard struct {
 	closed atomic.Bool // set by Close after inflight drains
 
 	epoch   int
-	single  *autoencoder.StreamScorer
 	batch   *autoencoder.BatchScorer
 	waveSeq uint64
 
-	// candidate generation scorers + divergence window (canary rollout)
+	// candidate generation scorer + divergence window (canary rollout)
 	div        *divWindow
 	candGen    uint64
-	candSingle *autoencoder.StreamScorer
 	candBatch  *autoencoder.BatchScorer
 	candThr    float64
 	shadowTick uint64
 	nEmit      int
 
-	// steal-side scorers: rebuilt per chunk epoch, separate from the
-	// serving pair so helping a hot shard never thrashes our own scratch
-	stealSingle *autoencoder.StreamScorer
-	stealBatch  *autoencoder.BatchScorer
-	stealEpoch  int
-	offers      [maxOffers]offerBox
-	chunks      [maxOffers]*stealChunk
+	// steal-side scorer: rebuilt per chunk epoch, separate from the
+	// serving one so helping a hot shard never thrashes our own scratch
+	stealBatch *autoencoder.BatchScorer
+	stealEpoch int
+	offers     [maxOffers]offerBox
+	chunks     [maxOffers]*stealChunk
 
 	// reusable scratch
 	cur, next []task
@@ -730,7 +730,6 @@ type shard struct {
 	flagged      atomic.Uint64
 	batchCalls   atomic.Uint64
 	batchedWin   atomic.Uint64
-	singleWin    atomic.Uint64
 	shadowWin    atomic.Uint64
 	canaryServed atomic.Uint64
 	stealOffered atomic.Uint64
@@ -809,7 +808,6 @@ func (sh *shard) idle() (done bool) {
 func (sh *shard) drain() {
 	state := sh.svc.state.Load()
 	if state.epoch != sh.epoch {
-		sh.single = state.det.NewStreamScorer()
 		sh.batch = state.det.NewBatchScorer()
 		sh.epoch = state.epoch
 	}
@@ -837,8 +835,8 @@ func (sh *shard) drain() {
 }
 
 // wave pushes each task's observation into its station's ring, scores
-// the full windows (batched past the threshold, rebalanced across idle
-// shards past twice the threshold), and delivers verdicts.
+// the full windows in one batched call (rebalanced across idle shards at
+// twice BatchThreshold), and delivers verdicts.
 func (sh *shard) wave(wave []task, state *modelState) {
 	sh.ready = sh.ready[:0]
 	sh.windows = sh.windows[:0]
@@ -874,24 +872,13 @@ func (sh *shard) wave(wave []task, state *modelState) {
 	}
 	scores, recons := sh.scores[:n], sh.recons[:n]
 	var err error
-	bt := sh.svc.cfg.BatchThreshold
-	switch {
-	case n >= 2*bt && sh.svc.stealEnabled():
+	if n >= 2*sh.svc.cfg.BatchThreshold && sh.svc.stealEnabled() {
 		err = sh.scoreWindowsStealing(state, scores, recons)
-		sh.batchCalls.Add(1)
-		sh.batchedWin.Add(uint64(n))
-	case n >= bt:
+	} else {
 		err = sh.batch.ScoreLastInto(scores, recons, sh.windows)
-		sh.batchCalls.Add(1)
-		sh.batchedWin.Add(uint64(n))
-	default:
-		for i, w := range sh.windows {
-			if scores[i], recons[i], err = sh.single.ScoreLastRecon(w); err != nil {
-				break
-			}
-		}
-		sh.singleWin.Add(uint64(n))
 	}
+	sh.batchCalls.Add(1)
+	sh.batchedWin.Add(uint64(n))
 	sh.nEmit = 0
 	cand := sh.svc.cand.Load()
 	if cand != nil && err == nil {
@@ -957,12 +944,11 @@ func (sh *shard) wave(wave []task, state *modelState) {
 // shadow is the candidate generation's scoring pass over one wave: it
 // selects the windows the candidate judges (the whole cohort during
 // canary, every SampleEvery-th other window), scores them on the
-// candidate's scorers, records every incumbent/candidate pair into the
+// candidate's scorer, records every incumbent/candidate pair into the
 // shard's divergence window, and marks cohort entries for candidate
 // delivery (their scores/recons are overwritten in place).
 func (sh *shard) shadow(wave []task, state *modelState, cand *candidateState, scores, recons []float64) {
 	if sh.candGen != cand.gen {
-		sh.candSingle = cand.det.NewStreamScorer()
 		sh.candBatch = cand.det.NewBatchScorer()
 		sh.candGen = cand.gen
 	}
@@ -1001,8 +987,7 @@ func (sh *shard) shadow(wave []task, state *modelState, cand *candidateState, sc
 		sh.candRecons = make([]float64, m)
 	}
 	cs, cr := sh.candScores[:m], sh.candRecons[:m]
-	err := scoreInto(sh.candSingle, sh.candBatch, sh.svc.cfg.BatchThreshold, sh.candWindows, cs, cr)
-	if err != nil {
+	if err := sh.candBatch.ScoreLastInto(cs, cr, sh.candWindows); err != nil {
 		// A candidate that cannot score is a divergent candidate: emit
 		// nothing from it and record the failure as a non-finite sample.
 		for i := range emit {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -154,31 +155,86 @@ func TestServiceMatchesStream(t *testing.T) {
 	}
 }
 
-// TestBatchSingleParity: always-batched and never-batched services agree
-// to within the batched-kernel parity tolerance (summation order differs;
-// DESIGN.md §7), so the batch-threshold crossover is invisible.
-func TestBatchSingleParity(t *testing.T) {
-	values := attackSeries(200, 31, 23)
-	always := collect(t, newTestService(t, Config{Shards: 1, BatchThreshold: 1}), "s", values)
-	never := collect(t, newTestService(t, Config{Shards: 1, BatchThreshold: 1 << 20}), "s", values)
-	for i := range values {
-		if math.Abs(always[i].Score-never[i].Score) > 1e-12 || always[i].Flagged != never[i].Flagged {
-			t.Fatalf("point %d: batched %+v, single %+v", i, always[i], never[i])
+// TestWaveSizeInvariance: a station's verdicts do not depend on the waves
+// its points were scored in. Stations fed point by point, one at a time
+// (every wave a wave of one), must get the same bits — score, flag and
+// mitigated value — as the same series fed in SubmitN chunks to all
+// stations at once, where waves hold many stations' windows and are split
+// into steal chunks.
+func TestWaveSizeInvariance(t *testing.T) {
+	const stations, points, chunk = 24, 120, 16
+	feeds := make([][]float64, stations)
+	names := make([]string, stations)
+	for k := range feeds {
+		feeds[k] = attackSeries(points, uint64(60+k), 17+k%5)
+		names[k] = fmt.Sprintf("st%02d", k)
+	}
+	single := newTestService(t, Config{Shards: 1, Mitigate: true})
+	want := make([][]Verdict, stations)
+	for k, feed := range feeds {
+		want[k] = collect(t, single, names[k], feed)
+	}
+
+	bulk := newTestService(t, Config{Shards: 2, QueueDepth: 4096, BatchThreshold: 2, Mitigate: true})
+	// Hold both shards on a gate verdict until everything is queued, so
+	// the drains meet many stations at once on any core count.
+	gate := make(chan struct{})
+	for sh := 0; sh < 2; sh++ {
+		if err := bulk.Submit(mineNames("gate", 1, 2, sh)[0], 0.5, func(Verdict) { <-gate }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([][]Verdict, stations)
+	handles := make([]*Station, stations)
+	replies := make([]func(Verdict), stations)
+	var pending sync.WaitGroup
+	pending.Add(stations * points)
+	for k := range handles {
+		h, err := bulk.Station(names[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles[k] = h
+		replies[k] = func(v Verdict) { // one shard goroutine per station
+			got[k] = append(got[k], v)
+			pending.Done()
+		}
+	}
+	for lo := 0; lo < points; lo += chunk {
+		for k, h := range handles {
+			if _, err := h.SubmitN(feeds[k][lo:min(lo+chunk, points)], replies[k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(gate)
+	pending.Wait()
+	if st := bulk.Stats(); st.BatchedWindows <= st.BatchCalls {
+		t.Fatalf("bulk feed never formed a multi-window wave: %+v", st)
+	}
+	for k := range want {
+		for i, w := range want[k] {
+			if g := got[k][i]; g != w {
+				t.Fatalf("station %d point %d: bulk %+v, point by point %+v", k, i, g, w)
+			}
 		}
 	}
 }
 
 // TestMitigation: a flagged observation's verdict carries its
 // reconstruction, and the rewritten window keeps the spike from
-// contaminating the points after it — exactly as a hand-rolled
-// ring+scorer reference does.
+// contaminating the points after it — bit for bit as a hand-rolled
+// ring + batch-of-one scorer reference does (a window's score does not
+// depend on its wave; TestServiceMatchesStream holds the service to the
+// independent per-sample scorer).
 func TestMitigation(t *testing.T) {
 	det, thr := testDetector(t)
 	values := attackSeries(150, 43, 31)
 	s := newTestService(t, Config{Shards: 1, Mitigate: true})
 	got := collect(t, s, "z105", values)
 
-	sc := det.NewStreamScorer()
+	bs := det.NewBatchScorer()
+	scores, recons := make([]float64, 1), make([]float64, 1)
 	ring, _ := anomaly.NewRing(testSeqLen)
 	flagged := 0
 	for i, v := range values {
@@ -193,11 +249,11 @@ func TestMitigation(t *testing.T) {
 			}
 			continue
 		}
-		score, recon, err := sc.ScoreLastRecon(w)
-		if err != nil {
+		if err := bs.ScoreLastInto(scores, recons, [][]float64{w}); err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(g.Score-score) > 1e-12 {
+		score, recon := scores[0], recons[0]
+		if g.Score != score {
 			t.Fatalf("point %d: score %v, want %v", i, g.Score, score)
 		}
 		if score > thr {

@@ -1,10 +1,6 @@
 package serve
 
-import (
-	"sync/atomic"
-
-	"github.com/evfed/evfed/internal/autoencoder"
-)
+import "sync/atomic"
 
 // Wave rebalancing ("work stealing") lets a hot shard — one whose station
 // hash distribution concentrates traffic — hand the scoring half of an
@@ -41,38 +37,21 @@ type stealChunk struct {
 	windows  [][]float64
 	scores   []float64
 	recons   []float64
-	batchMin int
 	byHelper bool  // set by the helper before signalling done
 	err      error // scoring failure, merged into the wave's error
 	done     chan struct{}
 }
 
-// scoreInto runs the shared single/batched crossover over windows.
-func scoreInto(single *autoencoder.StreamScorer, batch *autoencoder.BatchScorer,
-	batchMin int, windows [][]float64, scores, recons []float64) error {
-	if len(windows) >= batchMin {
-		return batch.ScoreLastInto(scores, recons, windows)
-	}
-	for i, w := range windows {
-		var err error
-		if scores[i], recons[i], err = single.ScoreLastRecon(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runChunk scores a stolen chunk on the helper's steal scorers, which are
+// runChunk scores a stolen chunk on the helper's steal scorer, which is
 // rebuilt whenever the chunk's model epoch differs from the last one this
-// helper scored for (a helper keeps separate steal scorers so stealing
+// helper scored for (a helper keeps a separate steal scorer so stealing
 // never thrashes the scratch of its own serving path).
 func (sh *shard) runChunk(c *stealChunk) {
 	if sh.stealEpoch != c.state.epoch {
-		sh.stealSingle = c.state.det.NewStreamScorer()
 		sh.stealBatch = c.state.det.NewBatchScorer()
 		sh.stealEpoch = c.state.epoch
 	}
-	c.err = scoreInto(sh.stealSingle, sh.stealBatch, c.batchMin, c.windows, c.scores, c.recons)
+	c.err = sh.stealBatch.ScoreLastInto(c.scores, c.recons, c.windows)
 	c.byHelper = true
 	c.done <- struct{}{}
 }
@@ -104,8 +83,7 @@ func (sh *shard) tryStealOnce() bool {
 // plain path for small waves (the caller gates on 2×BatchThreshold).
 func (sh *shard) scoreWindowsStealing(state *modelState, scores, recons []float64) error {
 	n := len(sh.windows)
-	bt := sh.svc.cfg.BatchThreshold
-	parts := n / bt // every chunk stays at or above the batched crossover
+	parts := n / sh.svc.cfg.BatchThreshold // every chunk holds at least BatchThreshold windows
 	if max := len(sh.svc.shards); parts > max {
 		parts = max
 	}
@@ -113,7 +91,7 @@ func (sh *shard) scoreWindowsStealing(state *modelState, scores, recons []float6
 		parts = maxOffers + 1
 	}
 	if parts < 2 {
-		return scoreInto(sh.single, sh.batch, bt, sh.windows, scores, recons)
+		return sh.batch.ScoreLastInto(scores, recons, sh.windows)
 	}
 	per := (n + parts - 1) / parts
 	offered := 0
@@ -130,7 +108,6 @@ func (sh *shard) scoreWindowsStealing(state *modelState, scores, recons []float6
 		c.windows = sh.windows[lo:hi]
 		c.scores = scores[lo:hi]
 		c.recons = recons[lo:hi]
-		c.batchMin = bt
 		c.byHelper = false
 		c.err = nil
 		sh.offers[i-1].Store(c)
@@ -147,12 +124,12 @@ func (sh *shard) scoreWindowsStealing(state *modelState, scores, recons []float6
 	if own > n {
 		own = n
 	}
-	err := scoreInto(sh.single, sh.batch, bt, sh.windows[:own], scores[:own], recons[:own])
+	err := sh.batch.ScoreLastInto(scores[:own], recons[:own], sh.windows[:own])
 	for i := 0; i < offered; i++ {
 		c := sh.chunks[i]
 		if sh.offers[i].CompareAndSwap(c, nil) {
-			// Nobody took it: score locally on the owner's scorers.
-			if cerr := scoreInto(sh.single, sh.batch, bt, c.windows, c.scores, c.recons); cerr != nil && err == nil {
+			// Nobody took it: score locally on the owner's scorer.
+			if cerr := sh.batch.ScoreLastInto(c.scores, c.recons, c.windows); cerr != nil && err == nil {
 				err = cerr
 			}
 			continue
