@@ -14,6 +14,7 @@ import (
 	"github.com/evfed/evfed/internal/autoencoder"
 	"github.com/evfed/evfed/internal/chaos"
 	"github.com/evfed/evfed/internal/fed"
+	"github.com/evfed/evfed/internal/mat"
 	"github.com/evfed/evfed/internal/nn"
 	"github.com/evfed/evfed/internal/rng"
 	"github.com/evfed/evfed/internal/serve"
@@ -264,15 +265,6 @@ func maxAbsDiff(a, b []float64) float64 {
 	return d
 }
 
-func allFinite(w []float64) bool {
-	for _, v := range w {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
-}
-
 func countDropped(rounds []fed.RoundStat) int {
 	n := 0
 	for _, rs := range rounds {
@@ -317,7 +309,7 @@ func runChaosFaultArm(sc chaosScenario, topology string, policy chaos.Policy, p 
 		// Silent payload corruption can shift finite values (the wire
 		// frames carry no payload CRC); the guarantee is completion with a
 		// finite model, with framing-level damage healed by retries.
-		pt.WithinTolerance = pt.Rounds == p.Rounds && allFinite(res.Global)
+		pt.WithinTolerance = pt.Rounds == p.Rounds && mat.FirstNonFinite(res.Global) < 0
 	default:
 		// Drops and stalls must heal completely: retries + redial recover
 		// every faulted operation, so the fault-free control is reproduced

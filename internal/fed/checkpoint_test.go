@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/evfed/evfed/internal/chaos"
+	"github.com/evfed/evfed/internal/mat"
 	"github.com/evfed/evfed/internal/rng"
 )
 
@@ -368,6 +369,75 @@ func TestNonFiniteUpdateRejected(t *testing.T) {
 	if _, err := co2.Run(); !errors.Is(err, ErrNonFiniteUpdate) {
 		t.Fatalf("want ErrNonFiniteUpdate, got %v", err)
 	}
+}
+
+// TestNonFinitePartialRejected: an edge's partial carrying a NaN/Inf — in
+// either word of a folded FedAvg sum or its weight total, or in a held
+// update under the median — drops that edge as its round error instead
+// of poisoning the global.
+func TestNonFinitePartialRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		agg    Aggregator
+		poison func(*Partial)
+	}{
+		{"fedavg-sum", MeanAggregator{}, func(p *Partial) { p.AccHi[0] = math.Inf(1) }},
+		{"fedavg-compensation", MeanAggregator{}, func(p *Partial) { p.AccLo[3] = math.NaN() }},
+		{"fedavg-weight-total", MeanAggregator{}, func(p *Partial) { p.WeightTotal = math.NaN() }},
+		{"median-held", MedianAggregator{}, func(p *Partial) { p.Held[len(p.Held)-1][5] = math.Inf(-1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(tolerate bool) (*RunResult, error) {
+				cfg := smallConfig(5)
+				cfg.Rounds = 1
+				cfg.EpochsPerRound = 1
+				cfg.Aggregator = tc.agg
+				cfg.TolerateClientErrors = tolerate
+				clients := makeClients(t, 5)
+				edge, err := NewEdge("poison-edge", clients[2:], DefaultEdgeConfig())
+				if err != nil {
+					t.Fatal(err)
+				}
+				peers := []ClientHandle{clients[0], clients[1], &poisonEdge{Edge: edge, poison: tc.poison}}
+				co, err := NewCoordinator(smallSpec(), peers, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return co.Run()
+			}
+			res, err := run(true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs := res.Rounds[0]
+			if len(rs.Participants) != 2 || len(rs.Dropped) != 1 || rs.Errors["poison-edge"] == "" {
+				t.Fatalf("participants %v dropped %v errors %v", rs.Participants, rs.Dropped, rs.Errors)
+			}
+			if j := mat.FirstNonFinite(res.Global); j >= 0 {
+				t.Fatalf("global[%d] is non-finite: %v", j, res.Global[j])
+			}
+
+			// Without tolerance the same partial is fatal and typed.
+			if _, err := run(false); !errors.Is(err, ErrNonFiniteUpdate) {
+				t.Fatalf("want ErrNonFiniteUpdate, got %v", err)
+			}
+		})
+	}
+}
+
+// poisonEdge is an in-process edge whose partials are corrupted after the
+// fold, as bytes flipped on its uplink would be.
+type poisonEdge struct {
+	*Edge
+	poison func(*Partial)
+}
+
+func (e *poisonEdge) TrainPartial(global []float64, cfg LocalTrainConfig) (Partial, error) {
+	p, err := e.Edge.TrainPartial(global, cfg)
+	if err == nil {
+		e.poison(&p)
+	}
+	return p, err
 }
 
 // funcClient is a minimal ClientHandle for injecting hostile updates.

@@ -8,13 +8,16 @@ import (
 	"time"
 
 	"github.com/evfed/evfed/internal/fed/wire"
+	"github.com/evfed/evfed/internal/mat"
 	"github.com/evfed/evfed/internal/rng"
 )
 
-// ErrNonFiniteUpdate marks a client update carrying NaN or Inf weights —
-// diverged local training or bytes corrupted in flight. The update is
-// rejected before aggregation (a single non-finite weight would poison
-// the global irreversibly) and treated as that client's round error.
+// ErrNonFiniteUpdate marks a client update or an edge's partial aggregate
+// carrying NaN or Inf weights — diverged local training or bytes
+// corrupted in flight. The payload is rejected before aggregation (a
+// single non-finite weight would poison the global irreversibly) and
+// treated as that peer's round error; a rejected partial drops the edge's
+// whole subtree.
 var ErrNonFiniteUpdate = errors.New("fed: non-finite client update")
 
 // node is the role-agnostic aggregation engine shared by the root
@@ -75,8 +78,9 @@ type roundReport struct {
 	// LeafParticipants and LeafDropped count leaf stations across the
 	// whole subtree: a direct station counts once, an edge peer
 	// contributes its own subtree's counts. A peer that drops before
-	// reporting counts once regardless of its subtree size (the node
-	// cannot see behind a dead edge).
+	// reporting, or whose partial is rejected, counts once regardless of
+	// its subtree size (the node cannot see behind a dead edge, and does
+	// not trust a poisoned partial's counts).
 	LeafParticipants int
 	LeafDropped      int
 	// LossSum is the sample-weighted final-loss sum and SampleSum the
@@ -118,6 +122,10 @@ func (nd *node) runRound(round int, selected []int, global []float64, ltc LocalT
 	}
 	updates := make([]*Update, n)
 	partials := make([]*Partial, n)
+	// nonFinite[i] is the non-finite guard's verdict on updates[i] or
+	// partials[i], reached by the worker that received the payload so the
+	// serial fold below only folds.
+	nonFinite := make([]error, n)
 	errs := make([]error, n)
 	dropped := make([]bool, n)
 	delayed := make([]bool, n)
@@ -146,6 +154,7 @@ func (nd *node) runRound(round int, selected []int, global []float64, ltc LocalT
 				return
 			}
 			partials[i] = &p
+			nonFinite[i] = partialNonFinite(&p)
 			return
 		}
 		u, err := nd.clients[i].Train(roundGlobal, ltc)
@@ -154,6 +163,9 @@ func (nd *node) runRound(round int, selected []int, global []float64, ltc LocalT
 			return
 		}
 		updates[i] = &u
+		if j := mat.FirstNonFinite(u.Weights); j >= 0 {
+			nonFinite[i] = fmt.Errorf("%w: weight %d", ErrNonFiniteUpdate, j)
+		}
 	}
 
 	// Streaming consumption: peers are folded into the aggregator in
@@ -169,6 +181,17 @@ func (nd *node) runRound(round int, selected []int, global []float64, ltc LocalT
 			rep.Errs = make(map[string]string)
 		}
 		rep.Errs[id] = err.Error()
+	}
+	// fail makes err peer id's round error: fatal without tolerance, a
+	// recorded drop with it.
+	fail := func(id string, err error) {
+		if !nd.cfg.TolerateClientErrors {
+			if roundErr == nil {
+				roundErr = fmt.Errorf("fed: round %d: client %s: %w", round, id, err)
+			}
+			return
+		}
+		dropWithError(id, err)
 	}
 	consume := func(i int, abandoned bool) {
 		id := nd.clients[i].ID()
@@ -186,13 +209,7 @@ func (nd *node) runRound(round int, selected []int, global []float64, ltc LocalT
 			// conservative transport behaviour (reference dropped, next
 			// broadcast full).
 			nd.sentFull[i] = false
-			if !nd.cfg.TolerateClientErrors {
-				if roundErr == nil {
-					roundErr = fmt.Errorf("fed: round %d: client %s: %w", round, id, ErrRoundDeadline)
-				}
-				return
-			}
-			dropWithError(id, ErrRoundDeadline)
+			fail(id, ErrRoundDeadline)
 		case errs[i] != nil:
 			rep.BytesDown += nd.downBytes(dim, wasFull)
 			if !errors.Is(errs[i], ErrRemote) {
@@ -212,6 +229,14 @@ func (nd *node) runRound(round int, selected []int, global []float64, ltc LocalT
 			p := partials[i]
 			rep.BytesDown += nd.downBytes(dim, wasFull)
 			rep.BytesUp += uint64(wire.TrainPartialBytes(uint8(p.Kind), p.Dim, p.Count, len(p.NodeID)))
+			nd.sentFull[i] = true
+			partials[i] = nil
+			if nonFinite[i] != nil {
+				// As for a non-finite update below; the partial's subtree
+				// diagnostics are untrusted too, so the edge drops as one.
+				fail(id, nonFinite[i])
+				return
+			}
 			if roundErr == nil {
 				ps, ok := stream.(partialStream)
 				if !ok {
@@ -229,27 +254,18 @@ func (nd *node) runRound(round int, selected []int, global []float64, ltc LocalT
 			rep.ClientSeconds += p.ClientSeconds
 			rep.SubDown += p.BytesDown
 			rep.SubUp += p.BytesUp
-			nd.sentFull[i] = true
-			partials[i] = nil
 		case updates[i] != nil:
 			u := updates[i]
 			rep.BytesDown += nd.downBytes(dim, wasFull)
 			rep.BytesUp += nd.upBytes(dim, len(u.ClientID))
-			if j := firstNonFinite(u.Weights); j >= 0 {
+			nd.sentFull[i] = true
+			updates[i] = nil // release: mean-family rules consume it via axpy
+			if nonFinite[i] != nil {
 				// The frame itself arrived intact as far as the transport is
 				// concerned (traffic counted, reference committed like an
 				// application error), but its payload must not reach the
 				// aggregator.
-				nd.sentFull[i] = true
-				updates[i] = nil
-				err := fmt.Errorf("%w: weight %d", ErrNonFiniteUpdate, j)
-				if !nd.cfg.TolerateClientErrors {
-					if roundErr == nil {
-						roundErr = fmt.Errorf("fed: round %d: client %s: %w", round, id, err)
-					}
-					return
-				}
-				dropWithError(id, err)
+				fail(id, nonFinite[i])
 				return
 			}
 			if roundErr == nil {
@@ -262,13 +278,12 @@ func (nd *node) runRound(round int, selected []int, global []float64, ltc LocalT
 			rep.LossSum += u.FinalLoss * float64(u.NumSamples)
 			rep.SampleSum += u.NumSamples
 			rep.ClientSeconds += u.TrainSeconds
-			nd.sentFull[i] = true
-			updates[i] = nil // release: mean-family rules consumed it via axpy
 		}
 	}
 	onDone := func(i int) {
 		// The channel receive in runSelected orders the training
-		// goroutine's writes to updates/partials/errs before this read.
+		// goroutine's writes to updates/partials/nonFinite/errs before
+		// this read.
 		nd.resolved[i] = true
 		for cursor < len(selected) && nd.resolved[selected[cursor]] {
 			consume(selected[cursor], false)
@@ -294,14 +309,25 @@ func (nd *node) runRound(round int, selected []int, global []float64, ltc LocalT
 	return rep, nil
 }
 
-// firstNonFinite returns the index of the first NaN/Inf weight, or -1.
-func firstNonFinite(w []float64) int {
-	for i, v := range w {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return i
+// partialNonFinite reports the first NaN/Inf in a partial's payload — the
+// weight total, both words of a folded sum, every held update — as an
+// ErrNonFiniteUpdate, or nil.
+func partialNonFinite(p *Partial) error {
+	if w := p.WeightTotal; math.IsNaN(w) || math.IsInf(w, 0) {
+		return fmt.Errorf("%w: partial weight total %v", ErrNonFiniteUpdate, w)
+	}
+	if j := mat.FirstNonFinite(p.AccHi); j >= 0 {
+		return fmt.Errorf("%w: partial sum %d", ErrNonFiniteUpdate, j)
+	}
+	if j := mat.FirstNonFinite(p.AccLo); j >= 0 {
+		return fmt.Errorf("%w: partial compensation %d", ErrNonFiniteUpdate, j)
+	}
+	for k, w := range p.Held {
+		if j := mat.FirstNonFinite(w); j >= 0 {
+			return fmt.Errorf("%w: held update %d weight %d", ErrNonFiniteUpdate, k, j)
 		}
 	}
-	return -1
+	return nil
 }
 
 // deltaRefs snapshots the per-peer delta-reference flags by peer ID (the
@@ -442,7 +468,7 @@ func (nd *node) runSelected(selected []int, trainOne func(int), roundStart time.
 		select {
 		case i := <-done:
 			// The channel receive orders the goroutine's writes to
-			// updates/partials/errs before the consumer's reads.
+			// updates/partials/nonFinite/errs before the consumer's reads.
 			onDone(i)
 			remaining--
 		case <-timeout:

@@ -77,6 +77,161 @@ func TestAxpyCompGroupedMatchesFlat(t *testing.T) {
 	}
 }
 
+// refAxpyComp is a verbatim copy of the scalar Neumaier loop, the
+// reference the vector kernel must reproduce bit for bit.
+func refAxpyComp(alpha float64, dst, comp, src []float64) {
+	for i, v := range src {
+		t := float64(alpha * v)
+		s := dst[i] + t
+		if math.Abs(dst[i]) >= math.Abs(t) {
+			comp[i] += (dst[i] - s) + t
+		} else {
+			comp[i] += (t - s) + dst[i]
+		}
+		dst[i] = s
+	}
+}
+
+// specialValue draws from magnitudes 1e-15…1e15 of either sign, with
+// ±0, ±Inf, NaN and ±MaxFloat64 mixed in.
+func specialValue(r *rng.Source) float64 {
+	switch r.Intn(12) {
+	case 0:
+		return 0
+	case 1:
+		return math.Copysign(0, -1)
+	case 2:
+		return math.Inf(1)
+	case 3:
+		return math.Inf(-1)
+	case 4:
+		return math.NaN()
+	case 5:
+		return math.MaxFloat64 * float64(1-2*r.Intn(2))
+	default:
+		return float64(1-2*r.Intn(2)) * math.Pow(10, r.Range(-15, 15))
+	}
+}
+
+// TestAxpyCompMatchesScalar folds several terms into the same dst/comp
+// through AxpyComp and through refAxpyComp, for every length 0…67 (every
+// n % 4 tail, with and without a full vector step) and alphas of both
+// signs up to overflow, and requires the same bits in dst and comp.
+func TestAxpyCompMatchesScalar(t *testing.T) {
+	r := rng.New(23)
+	alphas := []float64{1, -1, 0.37, -2.5e3, 1e300, -1e300, 5e-324}
+	for n := 0; n <= 67; n++ {
+		for trial := 0; trial < 4; trial++ {
+			special := trial%2 == 1
+			draw := func() float64 {
+				if special {
+					return specialValue(r)
+				}
+				return float64(1-2*r.Intn(2)) * math.Pow(10, r.Range(-15, 15))
+			}
+			// Offset by one element so the vector loads are unaligned.
+			dst, comp := make([]float64, n+1)[1:], make([]float64, n+1)[1:]
+			for i := range dst {
+				dst[i] = draw()
+			}
+			wantDst, wantComp := append([]float64(nil), dst...), append([]float64(nil), comp...)
+			for _, alpha := range alphas {
+				src := make([]float64, n)
+				for i := range src {
+					src[i] = draw()
+				}
+				AxpyComp(alpha, dst, comp, src)
+				refAxpyComp(alpha, wantDst, wantComp, src)
+				for i := range dst {
+					if math.Float64bits(dst[i]) != math.Float64bits(wantDst[i]) ||
+						math.Float64bits(comp[i]) != math.Float64bits(wantComp[i]) {
+						t.Fatalf("n=%d alpha=%g i=%d: (dst, comp) = (%v, %v), scalar (%v, %v)",
+							n, alpha, i, dst[i], comp[i], wantDst[i], wantComp[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFirstNonFinite plants +Inf, -Inf, a quiet NaN and a payload NaN at
+// every index of every length 0…67 among finite extremes (±MaxFloat64,
+// subnormals, ±0), and a second one after it, which must not be reported.
+func TestFirstNonFinite(t *testing.T) {
+	finite := []float64{math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64,
+		-2.5e-310, 0, math.Copysign(0, -1), 1, -3.75}
+	bad := []float64{math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0x7ff0_0000_dead_beef), math.Float64frombits(0xfff8_0000_0000_0001)}
+	for n := 0; n <= 67; n++ {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = finite[i%len(finite)]
+		}
+		if got := FirstNonFinite(v); got != -1 {
+			t.Fatalf("n=%d all finite: got %d", n, got)
+		}
+		for i := 0; i < n; i++ {
+			for k, b := range bad {
+				v[i] = b
+				if got := FirstNonFinite(v); got != i {
+					t.Fatalf("n=%d: %v at %d: got %d", n, b, i, got)
+				}
+				if j := i + 1 + k%3; j < n {
+					v[j] = bad[(k+1)%len(bad)]
+					if got := FirstNonFinite(v); got != i {
+						t.Fatalf("n=%d: %v at %d and %d: got %d", n, b, i, j, got)
+					}
+					v[j] = finite[j%len(finite)]
+				}
+			}
+			v[i] = finite[i%len(finite)]
+		}
+	}
+}
+
+func TestAxpyCompFirstNonFiniteAllocFree(t *testing.T) {
+	dst, comp, src := make([]float64, 103), make([]float64, 103), make([]float64, 103)
+	for i := range src {
+		src[i] = float64(i) - 50.5
+	}
+	if allocs := testing.AllocsPerRun(100, func() { AxpyComp(0.5, dst, comp, src) }); allocs != 0 {
+		t.Fatalf("AxpyComp allocated %v times per call", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { FirstNonFinite(src) }); allocs != 0 {
+		t.Fatalf("FirstNonFinite allocated %v times per call", allocs)
+	}
+}
+
+// updateDim is the parameter count of nn.ForecasterSpec(50, 10), the
+// update the benchmark's fed-tree workload folds.
+const updateDim = 10921
+
+func BenchmarkAxpyComp(b *testing.B) {
+	r := rng.New(24)
+	dst, comp, src := make([]float64, updateDim), make([]float64, updateDim), make([]float64, updateDim)
+	for i := range src {
+		src[i] = r.Normal(0, 0.1)
+	}
+	b.SetBytes(3 * 8 * updateDim)
+	for b.Loop() {
+		AxpyComp(57, dst, comp, src)
+	}
+}
+
+func BenchmarkFirstNonFinite(b *testing.B) {
+	r := rng.New(25)
+	v := make([]float64, updateDim)
+	for i := range v {
+		v[i] = r.Normal(0, 0.1)
+	}
+	b.SetBytes(8 * updateDim)
+	for b.Loop() {
+		if FirstNonFinite(v) != -1 {
+			b.Fatal("finite vector reported non-finite")
+		}
+	}
+}
+
 func TestAxpyCompPanicsOnLengthMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -37,6 +37,36 @@ func fmaSigmoidPanel(v *float64, n int)
 //go:noescape
 func fmaTanhPanel(v *float64, n int)
 
+//go:noescape
+func vecAxpyComp(alpha float64, dst, comp, src *float64, n int)
+
+//go:noescape
+func vecAnyNonFinite(v *float64, n int) bool
+
+// axpyCompVec runs AxpyComp's Neumaier step over the longest prefix whose
+// length is a multiple of 4 and returns that length. The kernel needs
+// only AVX2, not FMA — it must not fuse — but shares the FMA kernels'
+// gate so EVFED_PURE_GO=1 turns every vector path off at once.
+func axpyCompVec(alpha float64, dst, comp, src []float64) int {
+	n4 := len(src) &^ 3
+	if !fmaEnabled || n4 == 0 {
+		return 0
+	}
+	vecAxpyComp(alpha, &dst[0], &comp[0], &src[0], n4)
+	return n4
+}
+
+// finitePrefix returns the length of a prefix of v the vector pass proved
+// free of NaN and Inf: the longest multiple of 4, or 0 when that prefix
+// holds one (or the vector path is off).
+func finitePrefix(v []float64) int {
+	n4 := len(v) &^ 3
+	if !fmaEnabled || n4 == 0 || vecAnyNonFinite(&v[0], n4) {
+		return 0
+	}
+	return n4
+}
+
 // SigmoidPanel applies the logistic function to v on the batched
 // activation path: four lanes per step through the vectorized exp kernel,
 // scalar remainder (and non-FMA hosts) through SigmoidInPlace. The

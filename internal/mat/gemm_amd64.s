@@ -304,6 +304,82 @@ axpydone:
 	VZEROUPPER
 	RET
 
+// func vecAxpyComp(alpha float64, dst, comp, src *float64, n int)
+//
+// AxpyComp's Neumaier step four lanes at a time (n a multiple of 4):
+//
+//	t = alpha*v; s = d + t
+//	comp += |d| >= |t| ? (d - s) + t : (t - s) + d
+//	d = s
+//
+// Every lane sees the scalar loop's IEEE operations in its order: the
+// product is a VMULPD, never an FMA, so it rounds before the add; |·|
+// clears the sign bit as math.Abs does; GE_OQ is false on NaN like Go's
+// >=; VBLENDVPD replaces the branch. The results are therefore bit-equal
+// to the scalar loop's, which is what keeps flat and tiered folds equal.
+// Each two-NaN operation also takes its first source operand from the
+// same value as the compiled scalar loop, so NaN payloads agree as well.
+TEXT ·vecAxpyComp(SB), NOSPLIT, $0-40
+	VBROADCASTSD alpha+0(FP), Y15
+	MOVQ dst+8(FP), DI
+	MOVQ comp+16(FP), SI
+	MOVQ src+24(FP), DX
+	MOVQ n+32(FP), CX
+	VPCMPEQQ Y14, Y14, Y14
+	VPSRLQ   $1, Y14, Y14 // 0x7FFF…: clears the sign bit
+
+	XORQ AX, AX
+
+compLoop:
+	VMOVUPD   (DX)(AX*8), Y0
+	VMULPD    Y15, Y0, Y0         // t = v * alpha
+	VMOVUPD   (DI)(AX*8), Y1      // d
+	VADDPD    Y0, Y1, Y2          // s = d + t
+	VSUBPD    Y2, Y1, Y3
+	VADDPD    Y3, Y0, Y3          // t + (d - s)
+	VSUBPD    Y2, Y0, Y4
+	VADDPD    Y1, Y4, Y4          // (t - s) + d
+	VANDPD    Y14, Y1, Y5         // |d|
+	VANDPD    Y14, Y0, Y6         // |t|
+	VCMPPD    $0x1d, Y6, Y5, Y5   // |d| >= |t| (GE_OQ)
+	VBLENDVPD Y5, Y3, Y4, Y3
+	VADDPD    (SI)(AX*8), Y3, Y3  // correction + comp
+	VMOVUPD   Y3, (SI)(AX*8)
+	VMOVUPD   Y2, (DI)(AX*8)
+	ADDQ      $4, AX
+	CMPQ      AX, CX
+	JL        compLoop
+
+	VZEROUPPER
+	RET
+
+// func vecAnyNonFinite(v *float64, n int) bool
+//
+// Reports whether any of v[0:n] (n a multiple of 4, > 0) is NaN or ±Inf:
+// a lane whose exponent field is all ones. Hits are OR-ed across the
+// whole vector and tested once at the end.
+TEXT ·vecAnyNonFinite(SB), NOSPLIT, $0-17
+	MOVQ v+0(FP), SI
+	MOVQ n+8(FP), CX
+	VPCMPEQQ Y15, Y15, Y15
+	VPSLLQ   $53, Y15, Y15
+	VPSRLQ   $1, Y15, Y15 // 0x7FF0…: the exponent field
+	VPXOR    Y0, Y0, Y0
+	XORQ     AX, AX
+
+finiteLoop:
+	VPAND    (SI)(AX*8), Y15, Y1
+	VPCMPEQQ Y15, Y1, Y1
+	VPOR     Y1, Y0, Y0
+	ADDQ     $4, AX
+	CMPQ     AX, CX
+	JL       finiteLoop
+
+	VPTEST Y0, Y0
+	SETNE  ret+16(FP)
+	VZEROUPPER
+	RET
+
 // Constants for the 4-lane vectorized exp kernel (each value repeated 4×
 // so it can serve directly as a 256-bit memory operand). Layout:
 // log2e=0x000 ln2hi=0x020 ln2lo=0x040 one=0x060 clamp=0x080

@@ -19,6 +19,12 @@ func axpyBlock2x4(c *[8]float64, d0, d1, s0, s1, s2, s3 []float64) {
 	axpy2x4(c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7], d0, d1, s0, s1, s2, s3)
 }
 
+// axpyCompVec leaves the whole of AxpyComp to the scalar loop.
+func axpyCompVec(alpha float64, dst, comp, src []float64) int { return 0 }
+
+// finitePrefix proves nothing finite; FirstNonFinite scans all of v.
+func finitePrefix(v []float64) int { return 0 }
+
 // SigmoidPanel is the batched-path logistic function; without the FMA
 // kernels it is exactly SigmoidInPlace.
 func SigmoidPanel(v []float64) { SigmoidInPlace(v) }

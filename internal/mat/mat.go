@@ -401,12 +401,20 @@ func Axpy(alpha float64, dst, src []float64) {
 // aggregation tree produces) agree with the flat sequential fold at full
 // float64 precision — the foundation of the federation's flat-vs-edge
 // aggregation parity.
+//
+// On AVX2 hosts the step runs four lanes at a time (vecAxpyComp) with the
+// same IEEE operations in the same order as the scalar loop, so both
+// paths produce the same bits; the scalar loop takes the n % 4 tail.
 func AxpyComp(alpha float64, dst, comp, src []float64) {
 	if len(dst) != len(src) || len(comp) != len(src) {
 		panic("mat: AxpyComp length mismatch")
 	}
+	k := axpyCompVec(alpha, dst, comp, src)
+	dst, comp, src = dst[k:], comp[k:], src[k:]
 	for i, v := range src {
-		t := alpha * v
+		// The explicit conversion rounds the product before the add on
+		// every platform (Go may otherwise fuse it), as VMULPD does.
+		t := float64(alpha * v)
 		s := dst[i] + t
 		if math.Abs(dst[i]) >= math.Abs(t) {
 			comp[i] += (dst[i] - s) + t
@@ -415,6 +423,19 @@ func AxpyComp(alpha float64, dst, comp, src []float64) {
 		}
 		dst[i] = s
 	}
+}
+
+// FirstNonFinite returns the index of the first NaN or ±Inf in v, or -1.
+// On AVX2 hosts one vector pass answers whether v holds any at all, and
+// only on a hit does the scalar scan look for the index.
+func FirstNonFinite(v []float64) int {
+	const exp = 0x7ff << 52 // an all-ones exponent is Inf or NaN
+	for i := finitePrefix(v); i < len(v); i++ {
+		if math.Float64bits(v[i])&exp == exp {
+			return i
+		}
+	}
+	return -1
 }
 
 // Scale multiplies every element of v by alpha.

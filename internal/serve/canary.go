@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"github.com/evfed/evfed/internal/autoencoder"
+	"github.com/evfed/evfed/internal/mat"
 )
 
 // Canary model rollout (DESIGN.md §10). Instead of swapping a freshly
@@ -215,7 +216,7 @@ func (s *Service) StageWeights(weights []float64, threshold float64) (uint64, er
 	if s.roll == nil {
 		return 0, fmt.Errorf("%w: rollout disabled", ErrRollout)
 	}
-	if i := nonFiniteAt(weights); i >= 0 {
+	if i := mat.FirstNonFinite(weights); i >= 0 {
 		return 0, fmt.Errorf("%w: non-finite weight at index %d", ErrBadWeights, i)
 	}
 	det, err := autoencoder.FromWeights(s.state.Load().det.Config(), weights)
@@ -258,7 +259,7 @@ func (r *rollout) stage(det *autoencoder.Detector, threshold float64) (uint64, e
 	if det == nil || det.Model() == nil {
 		return 0, fmt.Errorf("%w: nil or untrained candidate", ErrRollout)
 	}
-	if i := nonFiniteAt(det.Model().WeightsVector()); i >= 0 {
+	if i := mat.FirstNonFinite(det.Model().WeightsVector()); i >= 0 {
 		return 0, fmt.Errorf("%w: non-finite weight at index %d", ErrBadWeights, i)
 	}
 	r.mu.Lock()
@@ -426,14 +427,4 @@ func (r *rollout) status() RolloutStatus {
 			mergeDivergence(r.svc.shards, cand.gen, r.scratchInc, r.scratchCand)
 	}
 	return st
-}
-
-// nonFiniteAt returns the index of the first NaN/Inf entry, or -1.
-func nonFiniteAt(w []float64) int {
-	for i, x := range w {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return i
-		}
-	}
-	return -1
 }

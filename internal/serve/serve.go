@@ -53,6 +53,7 @@ import (
 
 	"github.com/evfed/evfed/internal/anomaly"
 	"github.com/evfed/evfed/internal/autoencoder"
+	"github.com/evfed/evfed/internal/mat"
 )
 
 // Errors returned by the package.
@@ -567,7 +568,7 @@ func (s *Service) Reload(det *autoencoder.Detector, threshold float64) (int, err
 	if det == nil || det.Model() == nil {
 		return 0, fmt.Errorf("%w: nil or untrained detector", ErrReload)
 	}
-	if i := nonFiniteAt(det.Model().WeightsVector()); i >= 0 {
+	if i := mat.FirstNonFinite(det.Model().WeightsVector()); i >= 0 {
 		// A NaN weight propagates into every score it touches and a NaN
 		// score defeats flagging (all comparisons false) — never install it.
 		return 0, fmt.Errorf("%w: non-finite weight at index %d", ErrBadWeights, i)
@@ -595,7 +596,7 @@ func (s *Service) Reload(det *autoencoder.Detector, threshold float64) (int, err
 // federated coordinator's OnRound hook and the wire/HTTP control planes
 // use. The vector's dimension must match the serving architecture.
 func (s *Service) ReloadWeights(weights []float64, threshold float64) (int, error) {
-	if i := nonFiniteAt(weights); i >= 0 {
+	if i := mat.FirstNonFinite(weights); i >= 0 {
 		return 0, fmt.Errorf("%w: non-finite weight at index %d", ErrBadWeights, i)
 	}
 	det, err := autoencoder.FromWeights(s.state.Load().det.Config(), weights)
