@@ -424,11 +424,11 @@ func BenchmarkAblation_Baselines(b *testing.B) {
 }
 
 // BenchmarkAblation_Architecture compares the paper's LSTM forecaster
-// against GRU and feedforward variants on Client 1's clean data — the
+// against a feedforward variant on Client 1's clean data — the
 // related-work claim that LSTM's gating best captures long temporal
 // dependencies (§I).
 func BenchmarkAblation_Architecture(b *testing.B) {
-	for _, arch := range []string{"lstm", "gru", "dense"} {
+	for _, arch := range []string{"lstm", "dense"} {
 		b.Run(arch, func(b *testing.B) {
 			clients := preparedClients(b)
 			p := benchParams()
@@ -459,8 +459,6 @@ func BenchmarkAblation_Architecture(b *testing.B) {
 			switch arch {
 			case "lstm":
 				spec = nn.ForecasterSpec(p.LSTMUnits, p.DenseHidden)
-			case "gru":
-				spec = nn.GRUForecasterSpec(p.LSTMUnits, p.DenseHidden)
 			case "dense":
 				spec = nn.DenseForecasterSpec(p.SeqLen, 2*p.DenseHidden)
 				flatten = true

@@ -1,10 +1,6 @@
 package autoencoder
 
-import (
-	"fmt"
-
-	"github.com/evfed/evfed/internal/nn"
-)
+import "fmt"
 
 // Adapter adapts a trained Detector to the anomaly.Scorer interface, so
 // the autoencoder plugs into the same filter pipeline as the statistical
@@ -63,35 +59,32 @@ func (a Adapter) ScoreLast(window []float64) (float64, error) {
 }
 
 // StreamScorer is the reusable-buffer form of Adapter for online
-// detection: it owns an inference workspace and a window view, so scoring
-// a streamed point is allocation-free in steady state. Not safe for
-// concurrent use (anomaly.Stream is single-goroutine by contract).
+// detection: a BatchScorer that scores one window per call, a batch of
+// one. The batched kernels are row-invariant, so a streamed score and
+// reconstruction are bit-identical to the ones the sharded service
+// computes for the same window in a wave of any size. Scoring a streamed
+// point is allocation-free in steady state. Not safe for concurrent use
+// (anomaly.Stream is single-goroutine by contract).
 type StreamScorer struct {
-	det *Detector
-	ws  *nn.Workspace
-	seq nn.Seq
+	bs     *BatchScorer
+	window [1][]float64
+	score  [1]float64
+	recon  [1]float64
 }
 
 // NewStreamScorer builds an allocation-free anomaly.LastPointScorer
 // around the trained detector. An untrained detector yields a scorer
 // whose ScoreLast returns ErrNotTrained (mirroring Adapter).
 func (d *Detector) NewStreamScorer() *StreamScorer {
-	if d == nil || d.model == nil {
-		return &StreamScorer{det: d}
-	}
-	return &StreamScorer{
-		det: d,
-		ws:  nn.NewWorkspace(),
-		seq: make(nn.Seq, d.cfg.SeqLen),
-	}
+	return &StreamScorer{bs: d.NewBatchScorer()}
 }
 
 // WindowLen implements anomaly.LastPointScorer.
 func (s *StreamScorer) WindowLen() int {
-	if s.det == nil {
+	if s.bs.det == nil {
 		return 0
 	}
-	return s.det.cfg.SeqLen
+	return s.bs.det.cfg.SeqLen
 }
 
 // ScoreLast implements anomaly.LastPointScorer.
@@ -105,16 +98,11 @@ func (s *StreamScorer) ScoreLast(window []float64) (float64, error) {
 // substitutes for a flagged raw reading (the streaming analogue of the
 // offline filter's interpolation).
 func (s *StreamScorer) ScoreLastRecon(window []float64) (score, recon float64, err error) {
-	if s.det == nil || s.det.model == nil {
-		return 0, 0, ErrNotTrained
+	s.window[0] = window
+	err = s.bs.ScoreLastInto(s.score[:], s.recon[:], s.window[:])
+	s.window[0] = nil // the window aliases the caller's ring; do not retain it
+	if err != nil {
+		return 0, 0, err
 	}
-	seqLen := s.det.cfg.SeqLen
-	if len(window) != seqLen {
-		return 0, 0, fmt.Errorf("%w: window %d, need %d", ErrBadConfig, len(window), seqLen)
-	}
-	windowSeq(s.seq, window, 0, seqLen)
-	out := s.det.model.PredictWS(s.seq, s.ws)
-	recon = out[seqLen-1][0]
-	d := window[seqLen-1] - recon
-	return d * d, recon, nil
+	return s.score[0], s.recon[0], nil
 }

@@ -237,16 +237,16 @@ func (s *BatchScorer) ScoreWindowsInto(dst []float64, windows [][]float64) error
 
 // ScoreLastInto writes each window's last-point anomaly score — the
 // squared error between the window's final value and its reconstruction,
-// the streaming criterion of StreamScorer.ScoreLast — into scores[i]. If
-// recons is non-nil (same length) it receives the reconstruction of each
-// window's final point, which a mitigation stage can substitute for a
-// flagged raw value. Windows are reconstructed in power-of-two chunks
-// (chunkLen) through the batched forward path; in steady state the call
-// performs no allocation. This is the sharded scoring service's only
-// scoring path. The batched kernels are row-invariant (DESIGN.md §7), so
-// a window's score and reconstruction are bit-identical whatever wave it
-// arrives in and wherever it sits in it; they agree with the per-sample
-// StreamScorer to ~1e-12.
+// the streaming criterion — into scores[i]. If recons is non-nil (same
+// length) it receives the reconstruction of each window's final point,
+// which a mitigation stage can substitute for a flagged raw value.
+// Windows are reconstructed in power-of-two chunks (chunkLen) through the
+// batched forward path; in steady state the call performs no allocation.
+// This is the only last-point scoring path: the sharded service scores
+// its waves with it and StreamScorer is a batch of one over it. The
+// batched kernels are row-invariant (DESIGN.md §7), so a window's score
+// and reconstruction are bit-identical whatever wave it arrives in and
+// wherever it sits in it.
 func (s *BatchScorer) ScoreLastInto(scores, recons []float64, windows [][]float64) error {
 	if err := s.checkWindows(len(scores), windows); err != nil {
 		return err

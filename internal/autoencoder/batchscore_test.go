@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/evfed/evfed/internal/nn"
+	"github.com/evfed/evfed/internal/reftest"
 	"github.com/evfed/evfed/internal/rng"
 )
 
@@ -32,10 +33,16 @@ func tinyDetector(t testing.TB) (*Detector, []float64) {
 	return det, values
 }
 
+// refSpec is the architecture the detector was built from, for
+// internal/reftest.
+func refSpec(det *Detector) nn.Spec {
+	c := det.Config()
+	return nn.AutoencoderSpec(c.SeqLen, c.EncoderUnits, c.Bottleneck, c.Dropout)
+}
+
 // TestScoreWindowsMatchesPerSample pins batched window scoring to the
-// per-sample reference: SequenceErrors (batched internally) and
-// ScoreWindows must agree with window-at-a-time PredictWS scoring within
-// the batched path's tolerance.
+// window-at-a-time reference: SequenceErrors and ScoreWindows must agree
+// with the reconstruction MSE of internal/reftest's naive forward pass.
 func TestScoreWindowsMatchesPerSample(t *testing.T) {
 	det, values := tinyDetector(t)
 	seqLen := det.Config().SeqLen
@@ -59,16 +66,20 @@ func TestScoreWindowsMatchesPerSample(t *testing.T) {
 	}
 
 	var loss nn.MSE
-	ws := nn.NewWorkspace()
+	spec, weights := refSpec(det), det.Model().WeightsVector()
 	seq := make(nn.Seq, seqLen)
 	for s := 0; s < nWin; s++ {
 		windowSeq(seq, values, s, seqLen)
-		want := loss.Value(det.Model().PredictWS(seq, ws), seq)
-		if math.Abs(errsBatched[s]-want) > 1e-9 {
-			t.Fatalf("SequenceErrors[%d] = %v, per-sample %v", s, errsBatched[s], want)
+		rec, err := reftest.Forward(spec, weights, seq)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if math.Abs(scores[s]-want) > 1e-9 {
-			t.Fatalf("ScoreWindows[%d] = %v, per-sample %v", s, scores[s], want)
+		want := loss.Value(rec, seq)
+		if math.Abs(errsBatched[s]-want) > 1e-12 {
+			t.Fatalf("SequenceErrors[%d] = %v, reference %v", s, errsBatched[s], want)
+		}
+		if math.Abs(scores[s]-want) > 1e-12 {
+			t.Fatalf("ScoreWindows[%d] = %v, reference %v", s, scores[s], want)
 		}
 	}
 }

@@ -7,8 +7,9 @@ import (
 	"github.com/evfed/evfed/internal/anomaly"
 )
 
-// TestStreamScorerMatchesAdapter: the workspace-backed scorer must produce
-// bit-identical scores to the stateless Adapter.
+// TestStreamScorerMatchesAdapter: the reusable scorer must produce
+// bit-identical scores to the stateless Adapter, and both must be the
+// last-point score BatchScorer gives the same window.
 func TestStreamScorerMatchesAdapter(t *testing.T) {
 	det, _, err := Train(dailySine(200, 0.02, 61), smallConfig(62))
 	if err != nil {
@@ -20,6 +21,8 @@ func TestStreamScorerMatchesAdapter(t *testing.T) {
 		t.Fatalf("window len %d vs %d", s.WindowLen(), a.WindowLen())
 	}
 	live := dailySine(3*det.Config().SeqLen, 0.02, 63)
+	bs := det.NewBatchScorer()
+	batched := make([]float64, 1)
 	for start := 0; start+det.Config().SeqLen <= len(live); start++ {
 		win := live[start : start+det.Config().SeqLen]
 		want, err := a.ScoreLast(win)
@@ -30,8 +33,11 @@ func TestStreamScorerMatchesAdapter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Fatalf("window %d: %v vs %v", start, got, want)
+		if err := bs.ScoreLastInto(batched, nil, [][]float64{win}); err != nil {
+			t.Fatal(err)
+		}
+		if got != want || got != batched[0] {
+			t.Fatalf("window %d: stream %v, adapter %v, batch %v", start, got, want, batched[0])
 		}
 	}
 	if _, err := s.ScoreLast(make([]float64, 3)); err == nil {

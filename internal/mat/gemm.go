@@ -4,12 +4,11 @@ import "fmt"
 
 // Batched GEMM kernels.
 //
-// The batched execution path re-expresses a minibatch of B samples as
-// per-timestep matrix-matrix products: where the per-sample path computes
-// B separate matrix-vector products against the same weight matrix, the
-// batched path computes one B-row GEMM, so every weight element loaded
-// from memory is reused across the whole batch while it is still in
-// register or L1. Three orientations cover everything BPTT needs:
+// The network's execution path re-expresses a minibatch of B samples as
+// per-timestep matrix-matrix products: instead of B separate
+// matrix-vector products against the same weight matrix it computes one
+// B-row GEMM, so every weight element loaded from memory is reused across
+// the whole batch while it is still in register or L1. Three orientations cover everything BPTT needs:
 //
 //	MulTAdd  dst += a · bᵀ   activations:   X[B×in] · W[out×in]ᵀ → [B×out]
 //	MulAdd   dst += a · b    input grads:   dZ[B×out] · W[out×in] → [B×in]
@@ -254,8 +253,8 @@ func (dst *Matrix) MulT(a, b *Matrix) {
 }
 
 // MulTBias computes dst = 1·biasᵀ + a · bᵀ: every row of dst starts from
-// bias (length dst.Cols) before the GEMM accumulates into it. This is the
-// batched form of MulVecBias — the pre-activation step of every layer.
+// bias (length dst.Cols) before the GEMM accumulates into it: the
+// pre-activation step of every layer.
 // The bias is folded into the write of each dot block, so dst is streamed
 // once instead of a copy pass plus a read-modify-write pass.
 func (dst *Matrix) MulTBias(a, b *Matrix, bias []float64) {
@@ -481,8 +480,9 @@ func (m *Matrix) ColSumsAdd(dst []float64) {
 }
 
 // GateActivationsRows applies the LSTM gate nonlinearities to every row of
-// the B×4u pre-activation panel z (the batched GateActivations), through
-// the vectorized panel activations where available.
+// the B×4u pre-activation panel z (gate order i, f, g, o: logistic σ on
+// the i‖f and o blocks, tanh on g), through the vectorized panel
+// activations where available.
 func (z *Matrix) GateActivationsRows(u int) {
 	if z.Cols != 4*u {
 		panic(fmt.Sprintf("mat: GateActivationsRows width %d for %d units", z.Cols, u))

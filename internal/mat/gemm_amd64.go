@@ -70,9 +70,8 @@ func finitePrefix(v []float64) int {
 // SigmoidPanel applies the logistic function to v on the batched
 // activation path: four lanes per step through the vectorized exp kernel,
 // scalar remainder (and non-FMA hosts) through SigmoidInPlace. The
-// vector kernel agrees with the scalar form to ~2 ulp — within the
-// batched path's documented 1e-9 tolerance — and is deterministic for a
-// binary/machine pair. The per-sample path keeps SigmoidInPlace.
+// vector kernel agrees with the scalar form to ~2 ulp and is
+// deterministic for a binary/machine pair.
 func SigmoidPanel(v []float64) {
 	if fmaEnabled {
 		if n4 := len(v) &^ 3; n4 > 0 {

@@ -137,8 +137,9 @@ func TestMulTBiasAndMulT(t *testing.T) {
 	matsClose(t, "Mul-zero", got3, NewMatrix(5, 7), 0)
 }
 
-// TestMulTAddMatchesMulVec pins the batched kernel to the matvec kernel it
-// replaces: a one-row batch must land within rounding of MulVecBias.
+// TestMulTAddMatchesMulVec pins the batched kernel to a plain
+// matrix-vector loop: a one-row batch must land within rounding of
+// bias + W · x summed left to right.
 func TestMulTAddMatchesMulVec(t *testing.T) {
 	r := rng.New(5)
 	w := randMat(r, 200, 50)
@@ -150,7 +151,12 @@ func TestMulTAddMatchesMulVec(t *testing.T) {
 	batched := NewMatrix(1, 200)
 	batched.MulTBias(x, w, bias)
 	seq := make([]float64, 200)
-	w.MulVecBias(seq, x.Row(0), bias)
+	for j := range seq {
+		seq[j] = bias[j]
+		for k, v := range x.Row(0) {
+			seq[j] += w.At(j, k) * v
+		}
+	}
 	for j := range seq {
 		if math.Abs(batched.Row(0)[j]-seq[j]) > 1e-12 {
 			t.Fatalf("col %d: batched %v vs matvec %v", j, batched.Row(0)[j], seq[j])
@@ -241,11 +247,15 @@ func TestGateActivationsRows(t *testing.T) {
 	}
 	want := z.Clone()
 	z.GateActivationsRows(u)
-	for i := 0; i < 2; i++ {
-		GateActivations(want.Row(i), u)
+	for i := range want.Data {
+		if j := i % (4 * u); j >= 2*u && j < 3*u {
+			want.Data[i] = math.Tanh(want.Data[i])
+		} else {
+			want.Data[i] = Sigmoid(want.Data[i])
+		}
 	}
-	// The batched rows go through the vectorized panel activations, which
-	// agree with the scalar forms to ~2 ulp, not bit-for-bit.
+	// The rows go through the vectorized panel activations, which agree
+	// with the scalar forms to ~2 ulp, not bit-for-bit.
 	matsClose(t, "GateActivationsRows", z, want, 1e-15)
 }
 

@@ -2,16 +2,15 @@
 // network substrate is built on: row-major matrices, matrix-vector and
 // matrix-matrix products, elementwise helpers, and weight initializers.
 //
-// The per-sample kernels are portable scalar Go: the matrix-vector
-// products and the outer-product accumulator — the four operations that
-// dominate per-sample BPTT — use 4-way unrolled dot/axpy inner loops with
-// independent accumulators and 2–4-row register blocking, which roughly
-// doubles throughput on small rows without changing the algorithm. The
-// batched GEMM path (gemm.go) additionally carries AVX2+FMA micro-kernels
-// and vectorized panel activations behind runtime CPUID detection, with
-// the same scalar blocking as the portable fallback (see gemm_amd64.go);
-// the four-row dot kernel both paths share (dotQuad) is vectorized the
-// same way. EVFED_PURE_GO=1 forces the fallback everywhere. All
+// The matrix-vector kernels (MulVecAdd, MulVecTAdd, AddOuter) are portable
+// scalar Go with 4-way unrolled dot/axpy inner loops, independent
+// accumulators and 2–4-row register blocking; the GEMMs (gemm.go) fall
+// back to them for one-row and one-column shapes. The GEMMs additionally
+// carry AVX2+FMA micro-kernels and vectorized panel activations behind
+// runtime CPUID detection, with the same scalar blocking as the portable
+// fallback (see gemm_amd64.go); the four-row dot kernel (dotQuad) is
+// vectorized the same way. EVFED_PURE_GO=1 forces the fallback
+// everywhere. All
 // operations are allocation-free when given destination buffers, which
 // matters inside the BPTT inner loop.
 //
@@ -88,8 +87,7 @@ func dotUnroll(row, x []float64) float64 {
 }
 
 // dotPair returns (r0 · x, r1 · x) in one sweep: register-blocking two
-// matrix rows against a shared x halves the vector loads of the dominant
-// matvec in BPTT (the recurrent kernel product).
+// matrix rows against a shared x halves the vector loads.
 func dotPair(r0, r1, x []float64) (float64, float64) {
 	n := len(x)
 	r0 = r0[:n] // bounds-check elimination hints
@@ -145,39 +143,6 @@ func axpyPair(a0 float64, r0 []float64, a1 float64, r1, dst []float64) {
 	}
 }
 
-// MulVec computes dst = m · x. dst must have length m.Rows and x length
-// m.Cols. dst must not alias x.
-func (m *Matrix) MulVec(dst, x []float64) {
-	if len(x) != m.Cols || len(dst) != m.Rows {
-		panic(fmt.Sprintf("mat: MulVec shape mismatch: %dx%d · %d -> %d",
-			m.Rows, m.Cols, len(x), len(dst)))
-	}
-	if m.Cols == 1 {
-		// A one-column matrix times a scalar: a single scaled copy beats
-		// Rows separate one-element dot products (the forecaster and
-		// autoencoder have univariate inputs, so this path is hot).
-		x0 := x[0]
-		for i := range dst {
-			dst[i] = m.Data[i] * x0
-		}
-		return
-	}
-	n := m.Cols
-	i := 0
-	for ; i+3 < m.Rows; i += 4 {
-		dst[i], dst[i+1], dst[i+2], dst[i+3] = dotQuad(
-			m.Data[i*n:i*n+n], m.Data[(i+1)*n:(i+1)*n+n],
-			m.Data[(i+2)*n:(i+2)*n+n], m.Data[(i+3)*n:(i+3)*n+n], x)
-	}
-	if i+1 < m.Rows {
-		dst[i], dst[i+1] = dotPair(m.Data[i*n:i*n+n], m.Data[(i+1)*n:(i+1)*n+n], x)
-		i += 2
-	}
-	if i < m.Rows {
-		dst[i] = dotUnroll(m.Data[i*n:i*n+n], x)
-	}
-}
-
 // MulVecAdd computes dst += m · x without zeroing dst first.
 func (m *Matrix) MulVecAdd(dst, x []float64) {
 	if len(x) != m.Cols || len(dst) != m.Rows {
@@ -208,59 +173,6 @@ func (m *Matrix) MulVecAdd(dst, x []float64) {
 	if i < m.Rows {
 		dst[i] += dotUnroll(m.Data[i*n:i*n+n], x)
 	}
-}
-
-// MulVecBias computes dst = bias + m · x in one pass, the pre-activation
-// step of every recurrent and dense layer (identical rounding to copying
-// bias into dst and calling MulVecAdd, one memory sweep cheaper).
-func (m *Matrix) MulVecBias(dst, x, bias []float64) {
-	if len(x) != m.Cols || len(dst) != m.Rows || len(bias) != m.Rows {
-		panic(fmt.Sprintf("mat: MulVecBias shape mismatch: %d + %dx%d · %d -> %d",
-			len(bias), m.Rows, m.Cols, len(x), len(dst)))
-	}
-	if m.Cols == 1 {
-		x0 := x[0]
-		for i := range dst {
-			dst[i] = bias[i] + m.Data[i]*x0
-		}
-		return
-	}
-	n := m.Cols
-	i := 0
-	for ; i+3 < m.Rows; i += 4 {
-		s0, s1, s2, s3 := dotQuad(
-			m.Data[i*n:i*n+n], m.Data[(i+1)*n:(i+1)*n+n],
-			m.Data[(i+2)*n:(i+2)*n+n], m.Data[(i+3)*n:(i+3)*n+n], x)
-		dst[i] = bias[i] + s0
-		dst[i+1] = bias[i+1] + s1
-		dst[i+2] = bias[i+2] + s2
-		dst[i+3] = bias[i+3] + s3
-	}
-	if i+1 < m.Rows {
-		s0, s1 := dotPair(m.Data[i*n:i*n+n], m.Data[(i+1)*n:(i+1)*n+n], x)
-		dst[i] = bias[i] + s0
-		dst[i+1] = bias[i+1] + s1
-		i += 2
-	}
-	if i < m.Rows {
-		dst[i] = bias[i] + dotUnroll(m.Data[i*n:i*n+n], x)
-	}
-}
-
-// MulVecT computes dst = mᵀ · x (x has length m.Rows, dst length m.Cols).
-func (m *Matrix) MulVecT(dst, x []float64) {
-	if len(x) != m.Rows || len(dst) != m.Cols {
-		panic(fmt.Sprintf("mat: MulVecT shape mismatch: (%dx%d)ᵀ · %d -> %d",
-			m.Rows, m.Cols, len(x), len(dst)))
-	}
-	if m.Cols == 1 {
-		dst[0] = dotUnroll(m.Data, x)
-		return
-	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	m.mulVecTAccum(dst, x)
 }
 
 // MulVecTAdd computes dst += mᵀ · x.
@@ -445,18 +357,6 @@ func Scale(alpha float64, v []float64) {
 	}
 }
 
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("mat: Dot length mismatch")
-	}
-	var sum float64
-	for i, v := range a {
-		sum += v * b[i]
-	}
-	return sum
-}
-
 // Hadamard computes dst[i] = a[i] * b[i].
 func Hadamard(dst, a, b []float64) {
 	if len(dst) != len(a) || len(a) != len(b) {
@@ -498,19 +398,6 @@ func TanhInPlace(v []float64) {
 	for i, x := range v {
 		v[i] = math.Tanh(x)
 	}
-}
-
-// GateActivations applies the LSTM gate nonlinearities in place to the
-// stacked pre-activation vector z of length 4u (gate order i, f, g, o):
-// logistic σ to the contiguous i‖f and o blocks and tanh to the g block,
-// one pass per block so the gate slices stay hot in cache.
-func GateActivations(z []float64, u int) {
-	if len(z) != 4*u {
-		panic(fmt.Sprintf("mat: GateActivations length %d for %d units", len(z), u))
-	}
-	SigmoidInPlace(z[:2*u])
-	TanhInPlace(z[2*u : 3*u])
-	SigmoidInPlace(z[3*u:])
 }
 
 // Fill sets every element of v to c.

@@ -10,14 +10,15 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// TestMulVec: MulVecAdd into a zeroed dst is the plain product m · x.
 func TestMulVec(t *testing.T) {
 	m := NewMatrix(2, 3)
 	copy(m.Data, []float64{1, 2, 3, 4, 5, 6})
 	x := []float64{1, 0, -1}
 	dst := make([]float64, 2)
-	m.MulVec(dst, x)
+	m.MulVecAdd(dst, x)
 	if dst[0] != -2 || dst[1] != -2 {
-		t.Fatalf("MulVec = %v, want [-2 -2]", dst)
+		t.Fatalf("m · x = %v, want [-2 -2]", dst)
 	}
 }
 
@@ -31,16 +32,17 @@ func TestMulVecAdd(t *testing.T) {
 	}
 }
 
+// TestMulVecT: MulVecTAdd into a zeroed dst is the plain product mᵀ · x.
 func TestMulVecT(t *testing.T) {
 	m := NewMatrix(2, 3)
 	copy(m.Data, []float64{1, 2, 3, 4, 5, 6})
 	x := []float64{1, 1}
 	dst := make([]float64, 3)
-	m.MulVecT(dst, x)
+	m.MulVecTAdd(dst, x)
 	want := []float64{5, 7, 9}
 	for i := range want {
 		if dst[i] != want[i] {
-			t.Fatalf("MulVecT = %v, want %v", dst, want)
+			t.Fatalf("mᵀ · x = %v, want %v", dst, want)
 		}
 	}
 }
@@ -63,10 +65,16 @@ func TestTransposeAdjointProperty(t *testing.T) {
 			y[i] = r.Normal(0, 1)
 		}
 		mx := make([]float64, rows)
-		m.MulVec(mx, x)
+		m.MulVecAdd(mx, x)
 		mty := make([]float64, cols)
-		m.MulVecT(mty, y)
-		return almostEq(Dot(y, mx), Dot(mty, x), 1e-9)
+		m.MulVecTAdd(mty, y)
+		dot := func(a, b []float64) (s float64) {
+			for i := range a {
+				s += a[i] * b[i]
+			}
+			return s
+		}
+		return almostEq(dot(y, mx), dot(mty, x), 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -92,10 +100,9 @@ func TestAddOuter(t *testing.T) {
 func TestShapePanics(t *testing.T) {
 	m := NewMatrix(2, 3)
 	cases := []func(){
-		func() { m.MulVec(make([]float64, 2), make([]float64, 2)) },
-		func() { m.MulVecT(make([]float64, 2), make([]float64, 3)) },
+		func() { m.MulVecAdd(make([]float64, 2), make([]float64, 2)) },
+		func() { m.MulVecTAdd(make([]float64, 2), make([]float64, 3)) },
 		func() { m.AddOuter(make([]float64, 3), make([]float64, 3)) },
-		func() { Dot([]float64{1}, []float64{1, 2}) },
 		func() { AddVec([]float64{1}, []float64{1, 2}) },
 	}
 	for i, fn := range cases {
@@ -182,11 +189,11 @@ func TestHelpers(t *testing.T) {
 	}
 }
 
-func BenchmarkMulVec50(b *testing.B) {
+func BenchmarkMulVecAdd50(b *testing.B) {
 	m := NewMatrix(200, 51)
 	x := make([]float64, 51)
 	dst := make([]float64, 200)
 	for i := 0; i < b.N; i++ {
-		m.MulVec(dst, x)
+		m.MulVecAdd(dst, x)
 	}
 }

@@ -23,24 +23,23 @@ import (
 //     same-length samples into separate batches (PredictBatchWS does this
 //     transparently; the trainer batches maximal same-shape runs).
 //   - Aliasing: Steps matrices of a layer's input batch must not be
-//     mutated by the layer (mirroring the per-sample contract). Outputs
-//     may share backing matrices with the layer's cache (and, for
-//     RepeatVector, all T output steps alias one matrix), so callers must
-//     copy out anything they need past the owning workspace's next Reset.
-//   - Numerics: the batched path computes the same quantities as the
-//     per-sample path but associates floating-point sums differently (and
-//     may use fused multiply-adds), so outputs agree to ~1e-12 relative
-//     accuracy rather than bit-for-bit. Each path is individually
+//     mutated by the layer. Outputs may share backing matrices with the
+//     layer's cache (and, for RepeatVector, all T output steps alias one
+//     matrix), so callers must copy out anything they need past the
+//     owning workspace's next Reset.
+//   - Numerics: the GEMMs associate floating-point sums in blocked order
+//     (and may fuse multiply-adds), so outputs agree with the naive
+//     left-to-right float64 reference in internal/reftest to ~1e-12
+//     relative accuracy rather than bit-for-bit. Every pass is
 //     deterministic for a binary/machine pair.
 //   - Batch invariance: a forward pass computes every sample's row with
 //     kernels whose association does not depend on the batch height or
 //     the row's position (mat's row-invariant GEMMs, row-wise panel
 //     activations), so in inference a sample's outputs are bit-identical
-//     whichever batch it is predicted in.
+//     whichever batch it is predicted in, a batch of one included.
 //   - Stochastic layers draw per-sample randomness from
-//     Context.BatchRNGs[b], never from Context.RNG, so a sample's dropout
-//     mask depends only on its own sub-stream position — identical to a
-//     sequential pass consuming the same sub-streams.
+//     Context.BatchRNGs[b], so a sample's dropout mask depends only on
+//     its own sub-stream position, not on the batch it lands in.
 type BatchSeq struct {
 	// B and D are the batch size and per-timestep feature width.
 	B, D int
@@ -51,31 +50,6 @@ type BatchSeq struct {
 
 // T returns the number of timesteps.
 func (s *BatchSeq) T() int { return len(s.Steps) }
-
-// Sample returns a view of sample b as a Seq whose rows alias the batch
-// matrices (valid while the backing workspace buffers are).
-func (s *BatchSeq) Sample(b int) Seq {
-	out := make(Seq, len(s.Steps))
-	for t, m := range s.Steps {
-		out[t] = m.Row(b)
-	}
-	return out
-}
-
-// BatchLayer is implemented by layers that can process a whole batch per
-// timestep. Every layer in this package implements it; the interface is
-// separate from Layer so external code can still satisfy Layer alone (at
-// the cost of the batched path rejecting the model).
-type BatchLayer interface {
-	// ForwardBatch is Forward over a batch: it returns the output batch
-	// and an opaque cache consumed by BackwardBatch. x must not be
-	// mutated.
-	ForwardBatch(x *BatchSeq, ctx *Context) (*BatchSeq, any)
-	// BackwardBatch consumes the upstream gradient batch (same shape as
-	// the ForwardBatch output), accumulates parameter gradients — summed
-	// over the batch — into grads, and returns the input gradient batch.
-	BackwardBatch(cache any, dOut *BatchSeq, grads []*mat.Matrix) *BatchSeq
-}
 
 // wsBatchRaw returns a [T]×(B×D) batch with unspecified step contents.
 func wsBatchRaw(ws *Workspace, t, b, d int) *BatchSeq {
@@ -107,7 +81,7 @@ func wsBatchSeqStruct(ws *Workspace) *BatchSeq {
 // batch drawn from ws: seqs[idx[0]], seqs[idx[1]], ... — or, with a nil
 // idx, all of seqs in order. All picked samples must share one length
 // and feature width (the callers bucket by shape first); a mismatched
-// sample panics exactly like the per-sample path's shape check.
+// sample panics.
 func packSeqBatch(ws *Workspace, seqs []Seq, idx []int) *BatchSeq {
 	n := len(idx)
 	if idx == nil {
@@ -140,17 +114,12 @@ func packSeqBatch(ws *Workspace, seqs []Seq, idx []int) *BatchSeq {
 }
 
 // ForwardBatch runs a training-mode forward pass over a batch, returning
-// the output batch and the per-layer caches BackwardBatch needs. Every
-// layer of the model must implement BatchLayer.
+// the output batch and the per-layer caches BackwardBatch needs.
 func (m *Model) ForwardBatch(x *BatchSeq, ctx *Context) (*BatchSeq, []any) {
 	caches := wsAnys(ctx.WS, len(m.layers))
 	out := x
 	for i, l := range m.layers {
-		bl, ok := l.(BatchLayer)
-		if !ok {
-			panic(fmt.Sprintf("nn: layer %s does not implement the batched path", l.Name()))
-		}
-		out, caches[i] = bl.ForwardBatch(out, ctx)
+		out, caches[i] = l.ForwardBatch(out, ctx)
 	}
 	return out, caches
 }
@@ -160,7 +129,7 @@ func (m *Model) ForwardBatch(x *BatchSeq, ctx *Context) (*BatchSeq, []any) {
 func (m *Model) BackwardBatch(caches []any, dOut *BatchSeq, gs *GradSet) {
 	d := dOut
 	for i := len(m.layers) - 1; i >= 0; i-- {
-		d = m.layers[i].(BatchLayer).BackwardBatch(caches[i], d, gs.ByLayer[i])
+		d = m.layers[i].BackwardBatch(caches[i], d, gs.ByLayer[i])
 	}
 }
 
@@ -182,7 +151,6 @@ func (m *Model) PredictBatchWS(xs []Seq, ws *Workspace) []Seq {
 	ws.Reset()
 	ctx := &ws.predictCtx
 	ctx.Train = false
-	ctx.RNG = nil
 	ctx.BatchRNGs = nil
 	ctx.WS = ws
 	out := ws.seqList(len(xs))

@@ -7,7 +7,7 @@ import (
 )
 
 // Benchmarks for the BPTT hot path at the paper's working sizes:
-// LSTM(1→50) over a 24-step window, the per-sample unit of work the
+// LSTM(1→50) over a 24-step window as a batch of one, the unit of work the
 // federated trainer and the autoencoder both execute thousands of times.
 
 func benchSeq(t, d int) Seq {
@@ -22,84 +22,35 @@ func BenchmarkLSTMForward(b *testing.B) {
 		b.Fatal(err)
 	}
 	m, _ := NewModel(l)
-	x := benchSeq(24, 1)
+	xs := []Seq{benchSeq(24, 1)}
 	ws := NewWorkspace()
 	ctx := Context{Train: true, WS: ws}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ws.Reset()
-		m.Forward(x, &ctx)
+		m.ForwardBatch(packSeqBatch(ws, xs, nil), &ctx)
 	}
 }
 
 func BenchmarkLSTMBackward(b *testing.B) {
 	// Forward + backward: BPTT needs the forward caches, so the two are
-	// benchmarked as the unit the trainer actually executes per sample.
+	// benchmarked as the unit the trainer actually executes per batch.
 	r := rng.New(1)
 	l, err := NewLSTM(1, 50, false, r)
 	if err != nil {
 		b.Fatal(err)
 	}
 	m, _ := NewModel(l)
-	x := benchSeq(24, 1)
-	y := benchSeq(1, 50)
+	xs := []Seq{benchSeq(24, 1)}
+	ys := []Seq{benchSeq(1, 50)}
 	gs := m.NewGradSet()
-	loss := MSE{}
-	ws := NewWorkspace()
-	ctx := Context{Train: true, WS: ws}
+	ctx := Context{Train: true, WS: NewWorkspace()}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gs.Zero()
-		ws.Reset()
-		out, caches := m.Forward(x, &ctx)
-		dOut := ws.seq(len(out), len(out[0]))
-		loss.EvalInto(dOut, out, y)
-		m.Backward(caches, dOut, gs)
-	}
-}
-
-func BenchmarkGRUForward(b *testing.B) {
-	r := rng.New(2)
-	g, err := NewGRU(1, 50, false, r)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, _ := NewModel(g)
-	x := benchSeq(24, 1)
-	ws := NewWorkspace()
-	ctx := Context{Train: true, WS: ws}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ws.Reset()
-		m.Forward(x, &ctx)
-	}
-}
-
-func BenchmarkGRUBackward(b *testing.B) {
-	r := rng.New(2)
-	g, err := NewGRU(1, 50, false, r)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, _ := NewModel(g)
-	x := benchSeq(24, 1)
-	y := benchSeq(1, 50)
-	gs := m.NewGradSet()
-	loss := MSE{}
-	ws := NewWorkspace()
-	ctx := Context{Train: true, WS: ws}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gs.Zero()
-		ws.Reset()
-		out, caches := m.Forward(x, &ctx)
-		dOut := ws.seq(len(out), len(out[0]))
-		loss.EvalInto(dOut, out, y)
-		m.Backward(caches, dOut, gs)
+		trainPass(m, &ctx, xs, ys, MSE{}, gs)
 	}
 }
 
@@ -130,12 +81,8 @@ func BenchmarkFitEpoch(b *testing.B) {
 	}
 }
 
-// Per-sample versus batched comparisons at the paper's working sizes.
-// The *PerSample benchmarks replicate the pre-batching trainer/scorer
-// loops exactly (one matvec pass per sample, workspace reset between
-// samples); the *Batched forms drive the same 32 samples through the
-// GEMM path. ns/op is the cost of the WHOLE 32-sample unit in both, so
-// the two are directly comparable.
+// Batch-32 units at the paper's working sizes: ns/op is the cost of the
+// WHOLE 32-sample unit.
 
 func benchBatchData(n int) (xs, ys []Seq) {
 	r := rng.New(7)
@@ -148,35 +95,9 @@ func benchBatchData(n int) (xs, ys []Seq) {
 	return xs, ys
 }
 
-// BenchmarkTrainBatch32PerSample is one 32-sample forecaster minibatch
-// gradient (forward + loss + backward + averaging) on the per-sample path.
-func BenchmarkTrainBatch32PerSample(b *testing.B) {
-	m, err := Build(ForecasterSpec(50, 10), 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	xs, ys := benchBatchData(32)
-	gs := m.NewGradSet()
-	loss := MSE{}
-	ws := NewWorkspace()
-	ctx := Context{Train: true, WS: ws}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gs.Zero()
-		for k := range xs {
-			ws.Reset()
-			out, caches := m.Forward(xs[k], &ctx)
-			dOut := ws.seqRaw(len(out), len(out[0]))
-			loss.EvalInto(dOut, out, ys[k])
-			m.Backward(caches, dOut, gs)
-		}
-		gs.Scale(1.0 / 32)
-	}
-}
-
-// BenchmarkTrainBatch32Batched is the same minibatch gradient through the
-// batched pool path (single worker, inline).
+// BenchmarkTrainBatch32Batched is one 32-sample forecaster minibatch
+// gradient (forward + loss + backward + averaging) through the pool path
+// (single worker, inline).
 func BenchmarkTrainBatch32Batched(b *testing.B) {
 	m, err := Build(ForecasterSpec(50, 10), 3)
 	if err != nil {
@@ -196,29 +117,8 @@ func BenchmarkTrainBatch32Batched(b *testing.B) {
 	}
 }
 
-// BenchmarkAEScore32PerSample is batch-32 autoencoder window scoring
-// (reconstruction MSE of 32 windows) on the per-sample inference path.
-func BenchmarkAEScore32PerSample(b *testing.B) {
-	m, err := Build(AutoencoderSpec(24, 50, 25, 0), 6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	xs, _ := benchBatchData(32)
-	var loss MSE
-	ws := NewWorkspace()
-	var sink float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for k := range xs {
-			sink += loss.Value(m.PredictWS(xs[k], ws), xs[k])
-		}
-	}
-	_ = sink
-}
-
-// BenchmarkAEScore32Batched is the same scoring unit through
-// PredictBatchWS.
+// BenchmarkAEScore32Batched is batch-32 autoencoder window scoring
+// (reconstruction MSE of 32 windows) through PredictBatchWS.
 func BenchmarkAEScore32Batched(b *testing.B) {
 	m, err := Build(AutoencoderSpec(24, 50, 25, 0), 6)
 	if err != nil {
@@ -260,25 +160,19 @@ func BenchmarkAEScore1Batched(b *testing.B) {
 
 // BenchmarkAutoencoderStep measures forward+backward of the paper's
 // autoencoder (LSTM(50)→LSTM(25)→Repeat→LSTM(25)→LSTM(50)→Dense(1)) on a
-// 24-step window — the inner unit of per-client detector retraining.
+// 24-step window as a batch of one.
 func BenchmarkAutoencoderStep(b *testing.B) {
 	m, err := Build(AutoencoderSpec(24, 50, 25, 0), 6)
 	if err != nil {
 		b.Fatal(err)
 	}
-	x := benchSeq(24, 1)
+	xs := []Seq{benchSeq(24, 1)}
 	gs := m.NewGradSet()
-	loss := MSE{}
-	ws := NewWorkspace()
-	ctx := Context{Train: true, WS: ws}
+	ctx := Context{Train: true, WS: NewWorkspace()}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gs.Zero()
-		ws.Reset()
-		out, caches := m.Forward(x, &ctx)
-		dOut := ws.seq(len(out), len(out[0]))
-		loss.EvalInto(dOut, out, x)
-		m.Backward(caches, dOut, gs)
+		trainPass(m, &ctx, xs, xs, MSE{}, gs)
 	}
 }

@@ -51,54 +51,19 @@ func (d *Dense) Params() []Param {
 
 type denseCache struct {
 	ws  *Workspace
-	x   Seq // input reference
-	out Seq // post-activation output (for derivFromOutput)
+	x   *BatchSeq // input reference
+	out *BatchSeq // post-activation output (for derivFromOutput)
 }
 
-// Forward implements Layer.
-func (d *Dense) Forward(x Seq, ctx *Context) (Seq, any) {
-	checkSeq(x, d.in, d)
+// ForwardBatch implements Layer: one B×in → B×out GEMM per timestep.
+func (d *Dense) ForwardBatch(x *BatchSeq, ctx *Context) (*BatchSeq, any) {
+	checkBatch(x, d.in, d)
 	ws := ctx.WS
 	var cache *denseCache
 	if ws != nil {
 		cache = ws.denseCaches.get()
 	} else {
 		cache = &denseCache{}
-	}
-	out := wsSeqRaw(ws, len(x), d.out) // every row overwritten by MulVecBias
-	bias := d.b.Row(0)
-	for t := range x {
-		d.w.MulVecBias(out[t], x[t], bias)
-		if d.act != Linear {
-			for j := range out[t] {
-				out[t][j] = d.act.apply(out[t][j])
-			}
-		}
-	}
-	cache.ws = ws
-	cache.x = x
-	cache.out = out
-	return out, cache
-}
-
-// denseBatchCache is denseCache in batch form.
-type denseBatchCache struct {
-	ws  *Workspace
-	x   *BatchSeq
-	out *BatchSeq
-}
-
-var _ BatchLayer = (*Dense)(nil)
-
-// ForwardBatch implements BatchLayer: one B×in → B×out GEMM per timestep.
-func (d *Dense) ForwardBatch(x *BatchSeq, ctx *Context) (*BatchSeq, any) {
-	checkBatch(x, d.in, d)
-	ws := ctx.WS
-	var cache *denseBatchCache
-	if ws != nil {
-		cache = ws.denseBatchCaches.get()
-	} else {
-		cache = &denseBatchCache{}
 	}
 	out := wsBatchRaw(ws, x.T(), x.B, d.out) // every step overwritten by MulTBias
 	bias := d.b.Row(0)
@@ -117,11 +82,11 @@ func (d *Dense) ForwardBatch(x *BatchSeq, ctx *Context) (*BatchSeq, any) {
 	return out, cache
 }
 
-// BackwardBatch implements BatchLayer.
+// BackwardBatch implements Layer.
 func (d *Dense) BackwardBatch(cache any, dOut *BatchSeq, grads []*mat.Matrix) *BatchSeq {
-	c, ok := cache.(*denseBatchCache)
+	c, ok := cache.(*denseCache)
 	if !ok {
-		panic("nn: dense batched backward got foreign cache")
+		panic("nn: dense backward got foreign cache")
 	}
 	gw, gb := grads[0], grads[1]
 	T := dOut.T()
@@ -137,26 +102,6 @@ func (d *Dense) BackwardBatch(cache any, dOut *BatchSeq, grads []*mat.Matrix) *B
 		gw.MulATAdd(dz, c.x.Steps[t])
 		dz.ColSumsAdd(gb.Row(0))
 		dx.Steps[t].Mul(dz, d.w)
-	}
-	return dx
-}
-
-// Backward implements Layer.
-func (d *Dense) Backward(cache any, dOut Seq, grads []*mat.Matrix) Seq {
-	c, ok := cache.(*denseCache)
-	if !ok {
-		panic("nn: dense backward got foreign cache")
-	}
-	gw, gb := grads[0], grads[1]
-	dx := wsSeqRaw(c.ws, len(dOut), d.in) // every row overwritten by MulVecT
-	dz := wsVec(c.ws, d.out)
-	for t := range dOut {
-		for j := range dz {
-			dz[j] = dOut[t][j] * d.act.derivFromOutput(c.out[t][j])
-		}
-		gw.AddOuter(dz, c.x[t])
-		mat.AddVec(gb.Row(0), dz)
-		d.w.MulVecT(dx[t], dz)
 	}
 	return dx
 }

@@ -39,63 +39,21 @@ func (d *Dropout) Params() []Param { return nil }
 
 type dropoutCache struct {
 	ws   *Workspace
-	mask Seq // nil when the pass was inference or rate == 0
+	mask []*mat.Matrix // [T] B×D; nil for inference or rate == 0
 }
 
-// Forward implements Layer.
-func (d *Dropout) Forward(x Seq, ctx *Context) (Seq, any) {
-	checkSeq(x, d.dim, d)
+// ForwardBatch implements Layer. Sample b's mask is drawn entirely from
+// ctx.BatchRNGs[b] in (timestep, feature) order, so a sample's mask
+// depends only on its own sub-stream, not on which batch it happened to
+// land in.
+func (d *Dropout) ForwardBatch(x *BatchSeq, ctx *Context) (*BatchSeq, any) {
+	checkBatch(x, d.dim, d)
 	ws := ctx.WS
 	var cache *dropoutCache
 	if ws != nil {
 		cache = ws.dropoutCaches.get()
 	} else {
 		cache = &dropoutCache{}
-	}
-	cache.ws = ws
-	cache.mask = nil
-	if !ctx.Train || d.rate == 0 {
-		return x, cache
-	}
-	if ctx.RNG == nil {
-		panic("nn: dropout requires a Context RNG in training mode")
-	}
-	keep := 1 - d.rate
-	scaleUp := 1 / keep
-	mask := wsSeq(ws, len(x), d.dim)
-	out := wsSeq(ws, len(x), d.dim)
-	for t := range x {
-		for j := range x[t] {
-			if ctx.RNG.Float64() < keep {
-				mask[t][j] = scaleUp
-				out[t][j] = x[t][j] * scaleUp
-			}
-		}
-	}
-	cache.mask = mask
-	return out, cache
-}
-
-// dropoutBatchCache is dropoutCache in batch form.
-type dropoutBatchCache struct {
-	ws   *Workspace
-	mask []*mat.Matrix // [T] B×D; nil for inference or rate == 0
-}
-
-var _ BatchLayer = (*Dropout)(nil)
-
-// ForwardBatch implements BatchLayer. Sample b's mask is drawn entirely
-// from ctx.BatchRNGs[b], in the same (timestep, feature) order the
-// per-sample path uses — so a sample's mask depends only on its own
-// sub-stream, not on which batch it happened to land in.
-func (d *Dropout) ForwardBatch(x *BatchSeq, ctx *Context) (*BatchSeq, any) {
-	checkBatch(x, d.dim, d)
-	ws := ctx.WS
-	var cache *dropoutBatchCache
-	if ws != nil {
-		cache = ws.dropoutBatchCaches.get()
-	} else {
-		cache = &dropoutBatchCache{}
 	}
 	cache.ws = ws
 	cache.mask = nil
@@ -136,24 +94,8 @@ func (d *Dropout) ForwardBatch(x *BatchSeq, ctx *Context) (*BatchSeq, any) {
 	return wsBatchView(ws, x.B, d.dim, outSteps), cache
 }
 
-// BackwardBatch implements BatchLayer.
+// BackwardBatch implements Layer.
 func (d *Dropout) BackwardBatch(cache any, dOut *BatchSeq, _ []*mat.Matrix) *BatchSeq {
-	c, ok := cache.(*dropoutBatchCache)
-	if !ok {
-		panic("nn: dropout batched backward got foreign cache")
-	}
-	if c.mask == nil {
-		return dOut
-	}
-	dx := wsBatchRaw(c.ws, dOut.T(), dOut.B, d.dim)
-	for t := range dOut.Steps {
-		mat.Hadamard(dx.Steps[t].Data, dOut.Steps[t].Data, c.mask[t].Data)
-	}
-	return dx
-}
-
-// Backward implements Layer.
-func (d *Dropout) Backward(cache any, dOut Seq, _ []*mat.Matrix) Seq {
 	c, ok := cache.(*dropoutCache)
 	if !ok {
 		panic("nn: dropout backward got foreign cache")
@@ -161,9 +103,9 @@ func (d *Dropout) Backward(cache any, dOut Seq, _ []*mat.Matrix) Seq {
 	if c.mask == nil {
 		return dOut
 	}
-	dx := wsSeq(c.ws, len(dOut), d.dim)
-	for t := range dOut {
-		mat.Hadamard(dx[t], dOut[t], c.mask[t])
+	dx := wsBatchRaw(c.ws, dOut.T(), dOut.B, d.dim)
+	for t := range dOut.Steps {
+		mat.Hadamard(dx.Steps[t].Data, dOut.Steps[t].Data, c.mask[t].Data)
 	}
 	return dx
 }

@@ -10,21 +10,14 @@ import (
 type Loss interface {
 	// Name identifies the loss in history records.
 	Name() string
-	// Eval returns the scalar loss and the gradient with respect to pred.
-	Eval(pred, target Seq) (float64, Seq)
-	// EvalInto writes the gradient with respect to pred into dst (which
-	// must have pred's shape; every element is overwritten) and returns
-	// the scalar loss. This is the allocation-free form Eval wraps.
-	EvalInto(dst, pred, target Seq) float64
-	// Value returns only the scalar loss (no gradient allocation).
+	// Value returns the scalar loss of one sample (no gradient).
 	Value(pred, target Seq) float64
-	// EvalBatchInto is EvalInto over a batch: it writes each sample's
-	// per-sample-normalized gradient into the matching rows of dst (every
-	// element overwritten) and returns the SUM of the per-sample losses —
-	// callers divide by their total sample count, exactly as they would
-	// accumulate B EvalInto results. Per-sample sums run in (timestep,
-	// feature) order and samples accumulate in row order, so the result is
-	// deterministic for a given batch composition.
+	// EvalBatchInto writes each sample's per-sample-normalized gradient
+	// with respect to pred into the matching rows of dst (every element
+	// overwritten) and returns the SUM of the per-sample losses — callers
+	// divide by their total sample count. Per-sample sums run in
+	// (timestep, feature) order and samples accumulate in row order, so
+	// the result is deterministic for a given batch composition.
 	EvalBatchInto(dst, pred, target *BatchSeq) float64
 }
 
@@ -37,29 +30,6 @@ var _ Loss = MSE{}
 
 // Name implements Loss.
 func (MSE) Name() string { return "mse" }
-
-// Eval implements Loss.
-func (l MSE) Eval(pred, target Seq) (float64, Seq) {
-	seqSize(pred, target) // shape diagnostics before the allocation
-	grad := newSeq(len(pred), len(pred[0]))
-	return l.EvalInto(grad, pred, target), grad
-}
-
-// EvalInto implements Loss.
-func (MSE) EvalInto(dst, pred, target Seq) float64 {
-	n := seqSize(pred, target)
-	checkGradDst(dst, pred)
-	var sum float64
-	inv := 1 / float64(n)
-	for t := range pred {
-		for j := range pred[t] {
-			d := pred[t][j] - target[t][j]
-			sum += d * d
-			dst[t][j] = 2 * d * inv
-		}
-	}
-	return sum * inv
-}
 
 // EvalBatchInto implements Loss.
 func (MSE) EvalBatchInto(dst, pred, target *BatchSeq) float64 {
@@ -102,36 +72,6 @@ var _ Loss = MAE{}
 
 // Name implements Loss.
 func (MAE) Name() string { return "mae" }
-
-// Eval implements Loss.
-func (l MAE) Eval(pred, target Seq) (float64, Seq) {
-	seqSize(pred, target) // shape diagnostics before the allocation
-	grad := newSeq(len(pred), len(pred[0]))
-	return l.EvalInto(grad, pred, target), grad
-}
-
-// EvalInto implements Loss.
-func (MAE) EvalInto(dst, pred, target Seq) float64 {
-	n := seqSize(pred, target)
-	checkGradDst(dst, pred)
-	var sum float64
-	inv := 1 / float64(n)
-	for t := range pred {
-		for j := range pred[t] {
-			d := pred[t][j] - target[t][j]
-			sum += math.Abs(d)
-			switch {
-			case d > 0:
-				dst[t][j] = inv
-			case d < 0:
-				dst[t][j] = -inv
-			default:
-				dst[t][j] = 0
-			}
-		}
-	}
-	return sum * inv
-}
 
 // EvalBatchInto implements Loss.
 func (MAE) EvalBatchInto(dst, pred, target *BatchSeq) float64 {
@@ -193,40 +133,6 @@ func (h Huber) delta() float64 {
 	return h.Delta
 }
 
-// Eval implements Loss.
-func (h Huber) Eval(pred, target Seq) (float64, Seq) {
-	seqSize(pred, target) // shape diagnostics before the allocation
-	grad := newSeq(len(pred), len(pred[0]))
-	return h.EvalInto(grad, pred, target), grad
-}
-
-// EvalInto implements Loss.
-func (h Huber) EvalInto(dst, pred, target Seq) float64 {
-	n := seqSize(pred, target)
-	checkGradDst(dst, pred)
-	delta := h.delta()
-	var sum float64
-	inv := 1 / float64(n)
-	for t := range pred {
-		for j := range pred[t] {
-			d := pred[t][j] - target[t][j]
-			a := math.Abs(d)
-			if a <= delta {
-				sum += 0.5 * d * d
-				dst[t][j] = d * inv
-			} else {
-				sum += delta * (a - 0.5*delta)
-				if d > 0 {
-					dst[t][j] = delta * inv
-				} else {
-					dst[t][j] = -delta * inv
-				}
-			}
-		}
-	}
-	return sum * inv
-}
-
 // EvalBatchInto implements Loss.
 func (h Huber) EvalBatchInto(dst, pred, target *BatchSeq) float64 {
 	n := batchSize(dst, pred, target)
@@ -275,19 +181,6 @@ func (h Huber) Value(pred, target Seq) float64 {
 		}
 	}
 	return sum / float64(n)
-}
-
-// checkGradDst validates that dst matches pred's shape.
-func checkGradDst(dst, pred Seq) {
-	if len(dst) != len(pred) {
-		panic(fmt.Sprintf("nn: loss gradient shape mismatch: %d vs %d timesteps", len(dst), len(pred)))
-	}
-	for t := range dst {
-		if len(dst[t]) != len(pred[t]) {
-			panic(fmt.Sprintf("nn: loss gradient feature mismatch at t=%d: %d vs %d",
-				t, len(dst[t]), len(pred[t])))
-		}
-	}
 }
 
 // batchSize validates that dst, pred and target share one batch shape and

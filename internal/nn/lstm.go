@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/evfed/evfed/internal/mat"
 	"github.com/evfed/evfed/internal/rng"
@@ -84,64 +83,11 @@ func (l *LSTM) Params() []Param {
 	}
 }
 
-// lstmCache stores everything BPTT needs, laid out per timestep. With a
-// workspace, the cache struct and all its blocks come from the arena and
-// stay valid until the owner's next Reset.
+// lstmCache stores everything BPTT needs in timestep-major form: every
+// block is a [T] list of B×width panels. With a workspace, the cache
+// struct and all its blocks come from the arena and stay valid until the
+// owner's next Reset.
 type lstmCache struct {
-	ws    *Workspace  // arena the cache (and Backward's buffers) draw from
-	x     Seq         // input reference [T][in]
-	gates [][]float64 // [T][4U] post-activation gate values (i, f, g, o)
-	c     [][]float64 // [T][U] cell states
-	ct    [][]float64 // [T][U] tanh(c_t)
-	h     [][]float64 // [T][U] hidden states
-}
-
-// Forward implements Layer.
-func (l *LSTM) Forward(x Seq, ctx *Context) (Seq, any) {
-	checkSeq(x, l.in, l)
-	T := len(x)
-	U := l.units
-	ws := ctx.WS
-	var cache *lstmCache
-	if ws != nil {
-		cache = ws.lstmCaches.get()
-	} else {
-		cache = &lstmCache{}
-	}
-	cache.ws = ws
-	cache.x = x
-	cache.gates = wsSeqRaw(ws, T, 4*U)
-	cache.c = wsSeqRaw(ws, T, U)
-	cache.ct = wsSeqRaw(ws, T, U)
-	cache.h = wsSeqRaw(ws, T, U)
-	hPrev := wsVec(ws, U)
-	cPrev := wsVec(ws, U)
-	bias := l.b.Row(0)
-	for t := 0; t < T; t++ {
-		z := cache.gates[t]
-		l.wx.MulVecBias(z, x[t], bias)
-		l.wh.MulVecAdd(z, hPrev)
-		// Fused gate activations in place: σ for i, f, o; tanh for g.
-		mat.GateActivations(z, U)
-		c, ct, h := cache.c[t], cache.ct[t], cache.h[t]
-		for j := 0; j < U; j++ {
-			c[j] = z[U+j]*cPrev[j] + z[j]*z[2*U+j]
-			ct[j] = math.Tanh(c[j])
-			h[j] = z[3*U+j] * ct[j]
-		}
-		hPrev, cPrev = h, c
-	}
-	if l.returnSeq {
-		return cache.h, cache
-	}
-	out := wsHeads(ws, 1)
-	out[0] = cache.h[T-1]
-	return out, cache
-}
-
-// lstmBatchCache is lstmCache in timestep-major batch form: every block
-// is a [T] list of B×width panels.
-type lstmBatchCache struct {
 	ws    *Workspace
 	x     *BatchSeq
 	gates []*mat.Matrix // [T] B×4U post-activation gate values (i, f, g, o)
@@ -150,22 +96,20 @@ type lstmBatchCache struct {
 	h     []*mat.Matrix // [T] B×U hidden states
 }
 
-var _ BatchLayer = (*LSTM)(nil)
-
-// ForwardBatch implements BatchLayer: one B×in → B×4U GEMM pair per
-// timestep instead of B matvec pairs, followed by the same fused gate
-// activations and elementwise cell update applied row-wise.
+// ForwardBatch implements Layer: one B×in → B×4U GEMM pair per timestep,
+// followed by the fused gate activations and the elementwise cell update
+// applied row-wise.
 func (l *LSTM) ForwardBatch(x *BatchSeq, ctx *Context) (*BatchSeq, any) {
 	checkBatch(x, l.in, l)
 	T := x.T()
 	B := x.B
 	U := l.units
 	ws := ctx.WS
-	var cache *lstmBatchCache
+	var cache *lstmCache
 	if ws != nil {
-		cache = ws.lstmBatchCaches.get()
+		cache = ws.lstmCaches.get()
 	} else {
-		cache = &lstmBatchCache{}
+		cache = &lstmCache{}
 	}
 	cache.ws = ws
 	cache.x = x
@@ -215,13 +159,13 @@ func (l *LSTM) ForwardBatch(x *BatchSeq, ctx *Context) (*BatchSeq, any) {
 	return wsBatchView(ws, B, U, steps), cache
 }
 
-// BackwardBatch implements BatchLayer. Parameter gradients are summed
-// over the batch rows by the aᵀ·b GEMM, so one call accumulates what B
-// per-sample Backward calls would (up to floating-point association).
+// BackwardBatch implements Layer. Parameter gradients are summed over the
+// batch rows by the aᵀ·b GEMM, so one call accumulates what B batches of
+// one would (up to floating-point association).
 func (l *LSTM) BackwardBatch(cacheAny any, dOut *BatchSeq, grads []*mat.Matrix) *BatchSeq {
-	cache, ok := cacheAny.(*lstmBatchCache)
+	cache, ok := cacheAny.(*lstmCache)
 	if !ok {
-		panic("nn: lstm batched backward got foreign cache")
+		panic("nn: lstm backward got foreign cache")
 	}
 	T := cache.x.T()
 	B := cache.x.B
@@ -281,72 +225,6 @@ func (l *LSTM) BackwardBatch(cacheAny any, dOut *BatchSeq, grads []*mat.Matrix) 
 		// Recurrent gradient into h_{t-1} replaces dh for the next
 		// (earlier) step; the upstream dOut contribution is added there.
 		dh.Mul(dz, l.wh)
-	}
-	return dx
-}
-
-// Backward implements Layer.
-func (l *LSTM) Backward(cacheAny any, dOut Seq, grads []*mat.Matrix) Seq {
-	cache, ok := cacheAny.(*lstmCache)
-	if !ok {
-		panic("nn: lstm backward got foreign cache")
-	}
-	T := len(cache.x)
-	U := l.units
-	ws := cache.ws
-	gwx, gwh, gb := grads[0], grads[1], grads[2]
-
-	dh := wsVec(ws, U)          // gradient flowing into h_t from the future
-	dc := wsVec(ws, U)          // gradient flowing into c_t from the future
-	dz := wsVec(ws, 4*U)        // pre-activation gate gradient at step t
-	dx := wsSeqRaw(ws, T, l.in) // every row overwritten by MulVecT
-	dhRec := wsVec(ws, U)
-
-	for t := T - 1; t >= 0; t-- {
-		// Upstream gradient for this timestep's output.
-		if l.returnSeq {
-			mat.AddVec(dh, dOut[t])
-		} else if t == T-1 {
-			mat.AddVec(dh, dOut[0])
-		}
-		z := cache.gates[t]
-		ct := cache.ct[t]
-		var cPrev []float64
-		if t > 0 {
-			cPrev = cache.c[t-1]
-		}
-		for j := 0; j < U; j++ {
-			i, f, g, o := z[j], z[U+j], z[2*U+j], z[3*U+j]
-			// h_t = o ⊙ tanh(c_t)
-			dO := dh[j] * ct[j]
-			dcj := dc[j] + dh[j]*o*(1-ct[j]*ct[j])
-			// c_t = f ⊙ c_{t-1} + i ⊙ g
-			var cp float64
-			if t > 0 {
-				cp = cPrev[j]
-			}
-			dF := dcj * cp
-			dI := dcj * g
-			dG := dcj * i
-			// Through gate nonlinearities to pre-activations.
-			dz[j] = dI * i * (1 - i)
-			dz[U+j] = dF * f * (1 - f)
-			dz[2*U+j] = dG * (1 - g*g)
-			dz[3*U+j] = dO * o * (1 - o)
-			// Carry cell gradient to t-1.
-			dc[j] = dcj * f
-		}
-		// Parameter gradients.
-		gwx.AddOuter(dz, cache.x[t])
-		if t > 0 {
-			gwh.AddOuter(dz, cache.h[t-1])
-		}
-		mat.AddVec(gb.Row(0), dz)
-		// Input gradient.
-		l.wx.MulVecT(dx[t], dz)
-		// Recurrent gradient into h_{t-1}.
-		l.wh.MulVecT(dhRec, dz)
-		copy(dh, dhRec)
 	}
 	return dx
 }

@@ -8,22 +8,24 @@
 //
 //   - Data flows as sequences: a sample is a Seq with shape [T][D]
 //     (T timesteps, D features). Non-recurrent layers apply per timestep.
-//   - Forward/Backward are re-entrant: all per-sample intermediate state
-//     lives in an externally supplied Cache and all gradients accumulate
-//     into an externally supplied GradSet. This is what allows minibatch
-//     gradients to be computed on parallel workers, which in turn is what
-//     makes the full-size paper configuration tractable in pure Go.
+//   - There is one execution path: every layer runs a batch of samples per
+//     timestep (ForwardBatch/BackwardBatch over a BatchSeq), and a single
+//     sample is a batch of one. Passes are re-entrant: intermediate state
+//     lives in the cache a forward pass returns and gradients accumulate
+//     into an externally supplied GradSet, so minibatch gradients can be
+//     computed on parallel workers.
 //   - Hot paths are allocation-free in steady state: a per-goroutine
 //     Workspace (Context.WS) supplies every intermediate buffer from a
 //     shape-keyed arena, so training and scoring throughput is bounded by
 //     FLOPs, not the garbage collector.
+//   - Tests hold the layers to internal/reftest, a naive float64 forward
+//     pass, and their gradients to finite differences.
 //   - Parameters are row-major matrices (biases are 1×n), so optimizers and
 //     the federated-averaging code can treat a model as a flat []float64.
 package nn
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"github.com/evfed/evfed/internal/mat"
@@ -51,26 +53,24 @@ type Param struct {
 type Context struct {
 	// Train enables training-time behaviour (dropout masks).
 	Train bool
-	// RNG supplies stochasticity (dropout); must be non-nil when Train is
-	// true and the model contains stochastic layers.
-	RNG *rng.Source
 	// WS, when non-nil, supplies every intermediate buffer (layer caches,
-	// dx sequences) from a reusable arena instead of the heap. The caller
-	// owns the workspace and must call WS.Reset between samples; see the
-	// Workspace contract. Nil keeps the allocate-per-call behaviour.
+	// gradient batches) from a reusable arena instead of the heap. The
+	// caller owns the workspace and must call WS.Reset between passes;
+	// see the Workspace contract. Nil keeps the allocate-per-call
+	// behaviour.
 	WS *Workspace
 	// BatchRNGs supplies one RNG sub-stream per batch row for stochastic
-	// layers on the batched path (ForwardBatch): sample b's dropout mask
-	// is drawn from BatchRNGs[b] alone, so masks are per-sample
-	// deterministic regardless of how samples are grouped into batches.
-	// Required (len >= batch size) when Train is true and the model
-	// contains stochastic layers; ignored by the per-sample path.
+	// layers: sample b's dropout mask is drawn from BatchRNGs[b] alone, so
+	// masks are per-sample deterministic regardless of how samples are
+	// grouped into batches. Required (len >= batch size) when Train is
+	// true and the model contains stochastic layers.
 	BatchRNGs []*rng.Source
 }
 
-// Layer is one differentiable block. Implementations must keep Forward and
-// Backward free of internal mutable state: everything needed for the
-// backward pass goes through the cache value returned by Forward.
+// Layer is one differentiable block over a timestep-major batch.
+// Implementations must keep ForwardBatch and BackwardBatch free of
+// internal mutable state: everything needed for the backward pass goes
+// through the cache value ForwardBatch returns.
 type Layer interface {
 	// Name identifies the layer in diagnostics and serialized weights.
 	Name() string
@@ -79,13 +79,14 @@ type Layer interface {
 	OutDim() int
 	// Params returns the learnable parameters (empty for stateless layers).
 	Params() []Param
-	// Forward computes the output sequence for x and returns an opaque
-	// cache consumed by Backward. x must not be mutated.
-	Forward(x Seq, ctx *Context) (Seq, any)
-	// Backward consumes the upstream gradient dOut (same shape as the
-	// Forward output), accumulates parameter gradients into grads (aligned
-	// with Params()) and returns the gradient with respect to the input.
-	Backward(cache any, dOut Seq, grads []*mat.Matrix) Seq
+	// ForwardBatch computes the output batch for x and returns an opaque
+	// cache consumed by BackwardBatch. x must not be mutated.
+	ForwardBatch(x *BatchSeq, ctx *Context) (*BatchSeq, any)
+	// BackwardBatch consumes the upstream gradient batch (same shape as
+	// the ForwardBatch output), accumulates parameter gradients — summed
+	// over the batch — into grads (aligned with Params()), and returns the
+	// input gradient batch.
+	BackwardBatch(cache any, dOut *BatchSeq, grads []*mat.Matrix) *BatchSeq
 }
 
 // Model is an ordered stack of layers.
@@ -125,52 +126,13 @@ func (m *Model) NumParams() int {
 	return n
 }
 
-// Predict runs inference (no dropout, no caches kept). Every call
-// allocates its intermediates; use PredictWS on hot paths.
+// Predict runs inference on one sample: ForwardBatch at B = 1 without a
+// workspace, so every call allocates its intermediates. The batched
+// kernels are row-invariant, so the result is bit-identical to the
+// sample's row in any PredictBatchWS batch.
 func (m *Model) Predict(x Seq) Seq {
-	ctx := Context{Train: false}
-	out := x
-	for _, l := range m.layers {
-		out, _ = l.Forward(out, &ctx)
-	}
-	return out
-}
-
-// PredictWS runs inference with every intermediate buffer drawn from ws,
-// which is Reset on entry: the returned sequence (and any other buffer
-// previously obtained from ws) stays valid only until the next call that
-// uses the same workspace. Allocation-free in steady state.
-func (m *Model) PredictWS(x Seq, ws *Workspace) Seq {
-	ws.Reset()
-	ctx := &ws.predictCtx
-	ctx.Train = false
-	ctx.RNG = nil
-	ctx.WS = ws
-	out := x
-	for _, l := range m.layers {
-		out, _ = l.Forward(out, ctx)
-	}
-	return out
-}
-
-// Forward runs a training-mode forward pass, returning the output and the
-// per-layer caches needed by Backward.
-func (m *Model) Forward(x Seq, ctx *Context) (Seq, []any) {
-	caches := wsAnys(ctx.WS, len(m.layers))
-	out := x
-	for i, l := range m.layers {
-		out, caches[i] = l.Forward(out, ctx)
-	}
-	return out, caches
-}
-
-// Backward propagates dOut through the stack, accumulating parameter
-// gradients into gs.
-func (m *Model) Backward(caches []any, dOut Seq, gs *GradSet) {
-	d := dOut
-	for i := len(m.layers) - 1; i >= 0; i-- {
-		d = m.layers[i].Backward(caches[i], d, gs.ByLayer[i])
-	}
+	out, _ := m.ForwardBatch(packSeqBatch(nil, []Seq{x}, nil), &Context{})
+	return sampleView(nil, out, 0)
 }
 
 // GradSet holds gradient accumulators shaped identically to the model's
@@ -252,26 +214,4 @@ func (gs *GradSet) ClipGlobalNorm(limit float64) {
 		return
 	}
 	gs.Scale(limit / n)
-}
-
-// checkSeq validates that every timestep of x has dimension d. The layer
-// is consulted for its name only on failure, keeping the happy path free
-// of the fmt.Sprintf most Name implementations perform.
-func checkSeq(x Seq, d int, layer Layer) {
-	for t := range x {
-		if len(x[t]) != d {
-			panic(fmt.Sprintf("nn: %s expected feature dim %d, got %d at timestep %d",
-				layer.Name(), d, len(x[t]), t))
-		}
-	}
-}
-
-// newSeq allocates a zeroed sequence of shape [t][d].
-func newSeq(t, d int) Seq {
-	s := make(Seq, t)
-	buf := make([]float64, t*d)
-	for i := range s {
-		s[i] = buf[i*d : (i+1)*d]
-	}
-	return s
 }

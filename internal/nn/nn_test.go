@@ -47,8 +47,10 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := Build(Spec{}, 1); !errors.Is(err, ErrNoLayers) {
 		t.Fatalf("want ErrNoLayers, got %v", err)
 	}
-	if _, err := Build(Spec{Layers: []LayerSpec{{Kind: "conv"}}}, 1); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("want ErrBadConfig, got %v", err)
+	for _, kind := range []string{"conv", "gru"} {
+		if _, err := Build(Spec{Layers: []LayerSpec{{Kind: kind, In: 1, Out: 1}}}, 1); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("%s: want ErrBadConfig, got %v", kind, err)
+		}
 	}
 	if _, err := Build(Spec{Layers: []LayerSpec{{Kind: "dense", In: 0, Out: 1}}}, 1); err == nil {
 		t.Fatal("zero-dim dense should error")
@@ -167,14 +169,10 @@ func TestDropoutInferenceIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := randSeq(rng.New(1), 4, 3)
-	out, _ := d.Forward(x, &Context{Train: false})
-	for t2 := range x {
-		for j := range x[t2] {
-			if out[t2][j] != x[t2][j] {
-				t.Fatal("dropout modified input at inference")
-			}
-		}
+	xs := randSeqs(rng.New(1), 2, 4, 3)
+	out, _ := d.ForwardBatch(packSeqBatch(nil, xs, nil), &Context{Train: false})
+	for b, x := range xs {
+		seqsWithin(t, "dropout at inference", sampleView(nil, out, b), x, 0)
 	}
 }
 
@@ -183,17 +181,17 @@ func TestDropoutTrainStatistics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rng.New(7)
-	ctx := Context{Train: true, RNG: r}
-	x := Seq{{1}}
+	ctx := Context{Train: true, BatchRNGs: []*rng.Source{rng.New(7)}}
+	x := packSeqBatch(nil, []Seq{{{1}}}, nil)
 	zeros, sum := 0, 0.0
 	const n = 20000
 	for i := 0; i < n; i++ {
-		out, _ := d.Forward(x, &ctx)
-		if out[0][0] == 0 {
+		out, _ := d.ForwardBatch(x, &ctx)
+		v := out.Steps[0].Data[0]
+		if v == 0 {
 			zeros++
 		}
-		sum += out[0][0]
+		sum += v
 	}
 	dropRate := float64(zeros) / n
 	if math.Abs(dropRate-0.2) > 0.02 {
@@ -274,9 +272,9 @@ func TestMSEKnown(t *testing.T) {
 	if math.Abs(v-2) > 1e-12 { // (0+4+0+4)/4
 		t.Fatalf("mse %v", v)
 	}
-	ev, grad := l.Eval(pred, target)
+	ev, grad := evalOne(l, pred, target)
 	if ev != v {
-		t.Fatalf("Eval/Value disagree: %v vs %v", ev, v)
+		t.Fatalf("EvalBatchInto/Value disagree: %v vs %v", ev, v)
 	}
 	if grad[0][1] != 1 { // 2*(2-0)/4
 		t.Fatalf("grad %v", grad)
@@ -287,11 +285,11 @@ func TestMAEKnown(t *testing.T) {
 	var l MAE
 	pred := Seq{{3}}
 	target := Seq{{1}}
-	v, grad := l.Eval(pred, target)
+	v, grad := evalOne(l, pred, target)
 	if v != 2 || grad[0][0] != 1 {
 		t.Fatalf("mae %v grad %v", v, grad)
 	}
-	v2, grad2 := l.Eval(Seq{{0}}, Seq{{5}})
+	v2, grad2 := evalOne(l, Seq{{0}}, Seq{{5}})
 	if v2 != 5 || grad2[0][0] != -1 {
 		t.Fatalf("mae %v grad %v", v2, grad2)
 	}
@@ -333,5 +331,43 @@ func TestNumParams(t *testing.T) {
 	}
 	if got := m.NumParams(); got != 10400+510+11 {
 		t.Fatalf("NumParams %d", got)
+	}
+}
+
+func TestDenseForecasterSpec(t *testing.T) {
+	m, err := Build(DenseForecasterSpec(12, 8), 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs, targets := sineDataset(250, 12, 78)
+	flat := make([]Seq, len(inputs))
+	for i, w := range inputs {
+		flat[i] = FlattenWindow(w)
+	}
+	cfg := DefaultTrainConfig(40, 79)
+	cfg.Optimizer = NewAdam(0.005)
+	hist, err := Fit(m, flat, targets, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hist.FinalTrainLoss() > 0.02 {
+		t.Fatalf("dense forecaster failed to learn sine: %v", hist.FinalTrainLoss())
+	}
+	out := m.Predict(FlattenWindow(inputs[0]))
+	if len(out) != 1 || len(out[0]) != 1 {
+		t.Fatalf("dense forecaster output shape [%d][%d]", len(out), len(out[0]))
+	}
+}
+
+func TestFlattenWindow(t *testing.T) {
+	w := Seq{{1}, {2}, {3}}
+	flat := FlattenWindow(w)
+	if len(flat) != 1 || len(flat[0]) != 3 {
+		t.Fatalf("flatten shape [%d][%d]", len(flat), len(flat[0]))
+	}
+	for i, v := range []float64{1, 2, 3} {
+		if flat[0][i] != v {
+			t.Fatalf("flatten content %v", flat)
+		}
 	}
 }

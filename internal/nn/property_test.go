@@ -93,7 +93,7 @@ func TestWeightsRoundTripProperty(t *testing.T) {
 		if r.Bernoulli(0.5) {
 			m, err = Build(ForecasterSpec(1+r.Intn(8), 1+r.Intn(5)), seed)
 		} else {
-			m, err = Build(GRUForecasterSpec(1+r.Intn(8), 1+r.Intn(5)), seed)
+			m, err = Build(AutoencoderSpec(2+r.Intn(6), 1+r.Intn(8), 1+r.Intn(5), 0.2), seed)
 		}
 		if err != nil {
 			return false

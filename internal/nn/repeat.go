@@ -33,30 +33,11 @@ func (r *RepeatVector) OutDim() int { return r.dim }
 // Params implements Layer.
 func (r *RepeatVector) Params() []Param { return nil }
 
-// Forward implements Layer. The input must be a single timestep. The
-// cache is the forward pass's workspace (nil without one), which Backward
+// ForwardBatch implements Layer. The input must be a single timestep; all
+// times output steps alias its step matrix (layers never mutate their
+// inputs, so sharing is safe — see the BatchSeq aliasing contract). The
+// cache is the pass's workspace (nil without one), which BackwardBatch
 // draws its gradient buffer from.
-func (r *RepeatVector) Forward(x Seq, ctx *Context) (Seq, any) {
-	if len(x) != 1 {
-		panic(fmt.Sprintf("nn: repeatvector expects a single timestep, got %d", len(x)))
-	}
-	checkSeq(x, r.dim, r)
-	out := wsHeads(ctx.WS, r.times)
-	for t := range out {
-		out[t] = x[0]
-	}
-	var cache any
-	if ctx.WS != nil {
-		cache = ctx.WS
-	}
-	return out, cache
-}
-
-var _ BatchLayer = (*RepeatVector)(nil)
-
-// ForwardBatch implements BatchLayer: all times output steps alias the
-// single input step matrix (layers never mutate their inputs, so sharing
-// is safe — see the BatchSeq aliasing contract).
 func (r *RepeatVector) ForwardBatch(x *BatchSeq, ctx *Context) (*BatchSeq, any) {
 	if x.T() != 1 {
 		panic(fmt.Sprintf("nn: repeatvector expects a single timestep, got %d", x.T()))
@@ -74,25 +55,14 @@ func (r *RepeatVector) ForwardBatch(x *BatchSeq, ctx *Context) (*BatchSeq, any) 
 	return wsBatchView(ws, x.B, r.dim, steps), cache
 }
 
-// BackwardBatch implements BatchLayer: gradients of all copies sum into
-// the single input step.
+// BackwardBatch implements Layer: gradients of all copies sum into the
+// single input step.
 func (r *RepeatVector) BackwardBatch(cacheAny any, dOut *BatchSeq, _ []*mat.Matrix) *BatchSeq {
 	ws, _ := cacheAny.(*Workspace)
 	dx := wsBatchRaw(ws, 1, dOut.B, r.dim)
 	dx.Steps[0].Zero()
 	for t := range dOut.Steps {
 		mat.AddVec(dx.Steps[0].Data, dOut.Steps[t].Data)
-	}
-	return dx
-}
-
-// Backward implements Layer: gradients of all copies sum into the single
-// input vector.
-func (r *RepeatVector) Backward(cacheAny any, dOut Seq, _ []*mat.Matrix) Seq {
-	ws, _ := cacheAny.(*Workspace)
-	dx := wsSeq(ws, 1, r.dim)
-	for t := range dOut {
-		mat.AddVec(dx[0], dOut[t])
 	}
 	return dx
 }

@@ -42,8 +42,6 @@ func Build(spec Spec, seed uint64) (*Model, error) {
 		switch ls.Kind {
 		case "lstm":
 			l, err = NewLSTM(ls.In, ls.Out, ls.ReturnSeq, r.Split())
-		case "gru":
-			l, err = NewGRU(ls.In, ls.Out, ls.ReturnSeq, r.Split())
 		case "dense":
 			var act Activation
 			act, err = ParseActivation(ls.Act)
@@ -73,19 +71,6 @@ func ForecasterSpec(units, hidden int) Spec {
 		Name: "forecaster",
 		Layers: []LayerSpec{
 			{Kind: "lstm", In: 1, Out: units},
-			{Kind: "dense", In: units, Out: hidden, Act: "relu"},
-			{Kind: "dense", In: hidden, Out: 1},
-		},
-	}
-}
-
-// GRUForecasterSpec is the GRU variant of the forecaster, used by the
-// architecture ablation.
-func GRUForecasterSpec(units, hidden int) Spec {
-	return Spec{
-		Name: "gru-forecaster",
-		Layers: []LayerSpec{
-			{Kind: "gru", In: 1, Out: units},
 			{Kind: "dense", In: units, Out: hidden, Act: "relu"},
 			{Kind: "dense", In: hidden, Out: 1},
 		},

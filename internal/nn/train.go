@@ -234,20 +234,6 @@ func effectiveWorkers(requested, samples int) int {
 	return w
 }
 
-// evalLoss computes the mean per-sample loss without training behaviour,
-// reusing ws for every reconstruction. This is the sequential reference
-// form; Fit uses the pool's parallel batched equivalent.
-func evalLoss(m *Model, xs, ys []Seq, loss Loss, ws *Workspace) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for i := range xs {
-		sum += loss.Value(m.PredictWS(xs[i], ws), ys[i])
-	}
-	return sum / float64(len(xs))
-}
-
 // evalLoss computes the mean validation loss, fanning contiguous sample
 // chunks across the pool's workers and scoring each chunk with the
 // batched inference path. Per-worker partial sums combine in worker
@@ -390,8 +376,8 @@ func (p *gradPool) spawnWorkers(workers int, m *Model, xs, ys []Seq, idx []int, 
 // workerGrad accumulates gradients for worker w's strided share of idx.
 // Every sample first receives an RNG sub-stream reseeded from the worker
 // stream — in sample order, one draw per sample — so dropout masks are
-// deterministic for a fixed (Seed, Workers) pair exactly as on the
-// per-sample path, and independent of how the share splits into runs.
+// deterministic for a fixed (Seed, Workers) pair and independent of how
+// the share splits into runs.
 func (p *gradPool) workerGrad(w, workers int, m *Model, xs, ys []Seq, idx []int, loss Loss) {
 	ws := p.wss[w]
 	wb := p.wbs[w]
@@ -415,7 +401,6 @@ func (p *gradPool) workerGrad(w, workers int, m *Model, xs, ys []Seq, idx []int,
 		}
 		ws.Reset()
 		wb.ctx.Train = true
-		wb.ctx.RNG = nil
 		wb.ctx.WS = ws
 		wb.ctx.BatchRNGs = wb.rngs[lo:hi]
 		xb := packSeqBatch(ws, xs, wb.idx[lo:hi])

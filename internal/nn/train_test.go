@@ -125,7 +125,11 @@ func TestFitRestoresBestWeights(t *testing.T) {
 	}
 	// The restored weights must reproduce the best recorded val loss.
 	nVal := int(float64(len(inputs)) * cfg.ValFrac)
-	val := evalLoss(m, inputs[len(inputs)-nVal:], targets[len(targets)-nVal:], cfg.Loss, NewWorkspace())
+	var val float64
+	for i := len(inputs) - nVal; i < len(inputs); i++ {
+		val += cfg.Loss.Value(m.Predict(inputs[i]), targets[i])
+	}
+	val /= float64(nVal)
 	best := math.Inf(1)
 	for _, v := range hist.ValLoss {
 		if v < best {
@@ -235,16 +239,12 @@ func BenchmarkBackwardForecaster(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	x := randSeq(rng.New(1), 24, 1)
-	y := Seq{{0.5}}
+	xs := []Seq{randSeq(rng.New(1), 24, 1)}
+	ys := []Seq{{{0.5}}}
 	gs := m.NewGradSet()
-	ctx := Context{Train: true, RNG: rng.New(2)}
-	var loss MSE
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, caches := m.Forward(x, &ctx)
-		_, dOut := loss.Eval(out, y)
 		gs.Zero()
-		m.Backward(caches, dOut, gs)
+		gradBatch(m, xs, ys, MSE{}, gs)
 	}
 }

@@ -3,9 +3,9 @@ package nn
 import "github.com/evfed/evfed/internal/mat"
 
 // Workspace is a reusable, shape-keyed scratch arena for forward and
-// backward passes. It removes every per-sample allocation from the BPTT
-// hot path: layer caches, gate/cell/hidden timestep blocks, gradient
-// sequences and loss-gradient buffers are all bump-allocated from the
+// backward passes. It removes every per-batch allocation from the BPTT
+// hot path: layer caches, gate/cell/hidden timestep panels, gradient
+// batches and loss-gradient buffers are all bump-allocated from the
 // workspace and recycled with Reset.
 //
 // Ownership contract (see DESIGN.md "Performance model"):
@@ -14,11 +14,12 @@ import "github.com/evfed/evfed/internal/mat"
 //     concurrent use; parallel workers each own one (gradPool does this).
 //   - Reset recycles everything handed out since the previous Reset. The
 //     owner calls it at a point where no workspace-backed buffer is live —
-//     in training, between samples; in inference, PredictWS resets on
-//     entry.
-//   - Any sequence returned by a workspace-backed Forward, Backward or
-//     PredictWS aliases the arena. Callers must copy out whatever they
-//     need to retain past the next Reset (or next PredictWS call).
+//     in training, between batches; in inference, PredictBatchWS resets
+//     on entry.
+//   - Any batch or sequence returned by a workspace-backed ForwardBatch,
+//     BackwardBatch or PredictBatchWS aliases the arena. Callers must
+//     copy out whatever they need to retain past the next Reset (or next
+//     PredictBatchWS call).
 //   - After warm-up (one pass at each distinct shape) the arena reaches a
 //     fixed point and steady-state passes perform zero allocations.
 //
@@ -26,7 +27,6 @@ import "github.com/evfed/evfed/internal/mat"
 // allocate-per-call behaviour; results are bit-for-bit identical either
 // way.
 type Workspace struct {
-	vecs     map[int]*vecArena
 	heads    map[int]*headArena
 	anys     map[int]*anyArena
 	mats     map[matKey]*matArena
@@ -34,18 +34,13 @@ type Workspace struct {
 	seqLists map[int]*seqListArena
 
 	lstmCaches    structArena[lstmCache]
-	gruCaches     structArena[gruCache]
 	denseCaches   structArena[denseCache]
 	dropoutCaches structArena[dropoutCache]
+	batchSeqs     structArena[BatchSeq]
 
-	lstmBatchCaches    structArena[lstmBatchCache]
-	gruBatchCaches     structArena[gruBatchCache]
-	denseBatchCaches   structArena[denseBatchCache]
-	dropoutBatchCaches structArena[dropoutBatchCache]
-	batchSeqs          structArena[BatchSeq]
-
-	// predictCtx is the reusable Context for PredictWS: handing the same
-	// *Context to every interface call keeps it off the per-call heap.
+	// predictCtx is the reusable Context for PredictBatchWS: handing the
+	// same *Context to every interface call keeps it off the per-call
+	// heap.
 	predictCtx Context
 }
 
@@ -53,7 +48,6 @@ type Workspace struct {
 // and reused after Reset.
 func NewWorkspace() *Workspace {
 	return &Workspace{
-		vecs:     make(map[int]*vecArena),
 		heads:    make(map[int]*headArena),
 		anys:     make(map[int]*anyArena),
 		mats:     make(map[matKey]*matArena),
@@ -66,9 +60,6 @@ func NewWorkspace() *Workspace {
 // workspace-backed slices obtained before the call become scratch again
 // and must not be read or written by their previous holders.
 func (w *Workspace) Reset() {
-	for _, a := range w.vecs {
-		a.n = 0
-	}
 	for _, a := range w.heads {
 		a.n = 0
 	}
@@ -85,20 +76,9 @@ func (w *Workspace) Reset() {
 		a.n = 0
 	}
 	w.lstmCaches.reset()
-	w.gruCaches.reset()
 	w.denseCaches.reset()
 	w.dropoutCaches.reset()
-	w.lstmBatchCaches.reset()
-	w.gruBatchCaches.reset()
-	w.denseBatchCaches.reset()
-	w.dropoutBatchCaches.reset()
 	w.batchSeqs.reset()
-}
-
-// vecArena pools []float64 buffers of one length.
-type vecArena struct {
-	bufs [][]float64
-	n    int
 }
 
 // headArena pools [][]float64 header slices of one length.
@@ -136,8 +116,8 @@ type seqListArena struct {
 	n    int
 }
 
-// structArena pools typed cache structs so Forward can hand out *T values
-// without allocating. Recycled structs keep their field values; callers
+// structArena pools typed cache structs so ForwardBatch can hand out *T
+// values without allocating. Recycled structs keep their field values; callers
 // must reassign every field.
 type structArena[T any] struct {
 	items []*T
@@ -154,29 +134,6 @@ func (a *structArena[T]) get() *T {
 }
 
 func (a *structArena[T]) reset() { a.n = 0 }
-
-// vec returns a zeroed []float64 of length n.
-func (w *Workspace) vec(n int) []float64 {
-	b := w.vecRaw(n)
-	clear(b)
-	return b
-}
-
-// vecRaw returns a []float64 of length n with unspecified contents, for
-// buffers whose every element the caller overwrites before reading.
-func (w *Workspace) vecRaw(n int) []float64 {
-	a := w.vecs[n]
-	if a == nil {
-		a = &vecArena{}
-		w.vecs[n] = a
-	}
-	if a.n == len(a.bufs) {
-		a.bufs = append(a.bufs, make([]float64, n))
-	}
-	b := a.bufs[a.n]
-	a.n++
-	return b
-}
 
 // headsOut returns a [][]float64 of length n with unspecified contents;
 // callers must assign every element.
@@ -208,55 +165,6 @@ func (w *Workspace) anyList(n int) []any {
 	b := a.bufs[a.n]
 	a.n++
 	return b
-}
-
-// seq returns a zeroed sequence of shape [t][d] backed by one contiguous
-// block, mirroring newSeq's layout.
-func (w *Workspace) seq(t, d int) Seq {
-	s := w.headsOut(t)
-	buf := w.vec(t * d)
-	for i := 0; i < t; i++ {
-		s[i] = buf[i*d : (i+1)*d : (i+1)*d]
-	}
-	return s
-}
-
-// seqRaw is seq without the zeroing pass, for [t][d] blocks whose every
-// element the caller overwrites before reading (gate/cell/hidden caches).
-func (w *Workspace) seqRaw(t, d int) Seq {
-	s := w.headsOut(t)
-	buf := w.vecRaw(t * d)
-	for i := 0; i < t; i++ {
-		s[i] = buf[i*d : (i+1)*d : (i+1)*d]
-	}
-	return s
-}
-
-// wsSeqRaw returns a [t][d] sequence with unspecified contents from ws,
-// or a fresh (zeroed) allocation when ws is nil.
-func wsSeqRaw(ws *Workspace, t, d int) Seq {
-	if ws == nil {
-		return newSeq(t, d)
-	}
-	return ws.seqRaw(t, d)
-}
-
-// wsVec returns a zeroed length-n vector from ws, or a fresh allocation
-// when ws is nil (workspace-free callers keep the old behaviour).
-func wsVec(ws *Workspace, n int) []float64 {
-	if ws == nil {
-		return make([]float64, n)
-	}
-	return ws.vec(n)
-}
-
-// wsSeq returns a zeroed [t][d] sequence from ws, or a fresh allocation
-// when ws is nil.
-func wsSeq(ws *Workspace, t, d int) Seq {
-	if ws == nil {
-		return newSeq(t, d)
-	}
-	return ws.seq(t, d)
 }
 
 // wsHeads returns an n-element [][]float64 header slice from ws (contents

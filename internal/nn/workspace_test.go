@@ -20,22 +20,22 @@ func wsTestModel(t testing.TB, dropout float64) *Model {
 }
 
 // TestWorkspaceBitIdentical proves the arena is purely a memory
-// optimization: forward outputs, parameter gradients and input gradients
-// with a workspace are bit-for-bit those of the allocate-per-call path.
+// optimization: forward outputs, parameter gradients and the loss with a
+// workspace are bit-for-bit those of the allocate-per-call path.
 func TestWorkspaceBitIdentical(t *testing.T) {
 	m := wsTestModel(t, 0.2)
 	r := rng.New(5)
-	x := randSeq(r, 6, 1)
-	y := randSeq(r, 6, 1)
-	loss := MSE{}
+	xs := randSeqs(r, 3, 6, 1)
+	ys := randSeqs(r, 3, 6, 1)
 
-	run := func(ws *Workspace, seed uint64) (Seq, *GradSet, float64) {
-		ctx := Context{Train: true, RNG: rng.New(seed), WS: ws}
+	run := func(ws *Workspace, seed uint64) (*BatchSeq, *GradSet, float64) {
+		rngs := make([]*rng.Source, len(xs))
+		for i := range rngs {
+			rngs[i] = rng.New(seed + uint64(i))
+		}
+		ctx := Context{Train: true, WS: ws, BatchRNGs: rngs}
 		gs := m.NewGradSet()
-		out, caches := m.Forward(x, &ctx)
-		dOut := wsSeq(ws, len(out), len(out[0]))
-		l := loss.EvalInto(dOut, out, y)
-		m.Backward(caches, dOut, gs)
+		out, l := trainPass(m, &ctx, xs, ys, MSE{}, gs)
 		return out, gs, l
 	}
 
@@ -43,55 +43,21 @@ func TestWorkspaceBitIdentical(t *testing.T) {
 	// Two workspace passes (second reuses warm buffers) against the
 	// allocation path, with identical dropout streams.
 	for pass := 0; pass < 2; pass++ {
-		ws.Reset()
 		outWS, gsWS, lWS := run(ws, 77)
 		outAlloc, gsAlloc, lAlloc := run(nil, 77)
 		if lWS != lAlloc {
 			t.Fatalf("pass %d: loss %v vs %v", pass, lWS, lAlloc)
 		}
-		for ti := range outAlloc {
-			for j := range outAlloc[ti] {
-				if outWS[ti][j] != outAlloc[ti][j] {
-					t.Fatalf("pass %d: output[%d][%d] %v vs %v",
-						pass, ti, j, outWS[ti][j], outAlloc[ti][j])
-				}
-			}
+		for b := range xs {
+			seqsWithin(t, "output", sampleView(nil, outWS, b), sampleView(nil, outAlloc, b), 0)
 		}
-		fa, fb := gsWS.Flat(), gsAlloc.Flat()
-		for pi := range fa {
-			for k := range fa[pi].Data {
-				if fa[pi].Data[k] != fb[pi].Data[k] {
-					t.Fatalf("pass %d: grad %d[%d] %v vs %v",
-						pass, pi, k, fa[pi].Data[k], fb[pi].Data[k])
-				}
-			}
-		}
+		gradSetsWithin(t, gsWS, gsAlloc, 0)
 	}
 }
 
-// TestPredictWSMatchesPredict checks the inference path the autoencoder
-// scorers use.
-func TestPredictWSMatchesPredict(t *testing.T) {
-	m := wsTestModel(t, 0.2) // dropout inactive at inference
-	r := rng.New(6)
-	ws := NewWorkspace()
-	for i := 0; i < 3; i++ {
-		x := randSeq(r, 6, 1)
-		want := m.Predict(x)
-		got := m.PredictWS(x, ws)
-		for ti := range want {
-			for j := range want[ti] {
-				if got[ti][j] != want[ti][j] {
-					t.Fatalf("iter %d: [%d][%d] %v vs %v", i, ti, j, got[ti][j], want[ti][j])
-				}
-			}
-		}
-	}
-}
-
-// TestSteadyStateZeroAlloc is the tentpole's acceptance guard: after
-// warm-up, a full forward+backward training step (LSTM model and the
-// complete autoencoder) and a PredictWS call allocate nothing.
+// TestSteadyStateZeroAlloc is the acceptance guard for the arena: after
+// warm-up, a full forward+backward training pass (LSTM model and the
+// complete autoencoder) and a batch-of-one prediction allocate nothing.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	r := rng.New(7)
 	lstm, err := NewLSTM(1, 50, false, r)
@@ -99,45 +65,31 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, _ := NewModel(lstm)
-	x := randSeq(r, 24, 1)
-	y := randSeq(r, 1, 50)
+	xs := []Seq{randSeq(r, 24, 1)}
+	ys := []Seq{randSeq(r, 1, 50)}
 	gs := m.NewGradSet()
 	loss := MSE{}
-	ws := NewWorkspace()
-	ctx := Context{Train: true, WS: ws}
-	step := func() {
-		ws.Reset()
-		out, caches := m.Forward(x, &ctx)
-		dOut := ws.seq(len(out), len(out[0]))
-		loss.EvalInto(dOut, out, y)
-		m.Backward(caches, dOut, gs)
-	}
+	ctx := Context{Train: true, WS: NewWorkspace()}
+	step := func() { trainPass(m, &ctx, xs, ys, loss, gs) }
 	step() // warm up the arena
 	if n := testing.AllocsPerRun(20, step); n != 0 {
-		t.Fatalf("LSTM forward+backward step allocates %v times in steady state", n)
+		t.Fatalf("LSTM forward+backward pass allocates %v times in steady state", n)
 	}
 
 	ae := wsTestModel(t, 0) // dropout 0: RNG-free training pass
-	aeX := randSeq(r, 6, 1)
+	aeXs := []Seq{randSeq(r, 6, 1)}
 	aeGS := ae.NewGradSet()
-	aeWS := NewWorkspace()
-	aeCtx := Context{Train: true, WS: aeWS}
-	aeStep := func() {
-		aeWS.Reset()
-		out, caches := ae.Forward(aeX, &aeCtx)
-		dOut := aeWS.seq(len(out), len(out[0]))
-		loss.EvalInto(dOut, out, aeX)
-		ae.Backward(caches, dOut, aeGS)
-	}
+	aeCtx := Context{Train: true, WS: NewWorkspace()}
+	aeStep := func() { trainPass(ae, &aeCtx, aeXs, aeXs, loss, aeGS) }
 	aeStep()
 	if n := testing.AllocsPerRun(20, aeStep); n != 0 {
-		t.Fatalf("autoencoder step allocates %v times in steady state", n)
+		t.Fatalf("autoencoder pass allocates %v times in steady state", n)
 	}
 
 	predWS := NewWorkspace()
-	ae.PredictWS(aeX, predWS)
-	if n := testing.AllocsPerRun(20, func() { ae.PredictWS(aeX, predWS) }); n != 0 {
-		t.Fatalf("PredictWS allocates %v times in steady state", n)
+	ae.PredictBatchWS(aeXs, predWS)
+	if n := testing.AllocsPerRun(20, func() { ae.PredictBatchWS(aeXs, predWS) }); n != 0 {
+		t.Fatalf("batch-of-one PredictBatchWS allocates %v times in steady state", n)
 	}
 }
 
@@ -220,35 +172,17 @@ func TestWorkspaceShapePolymorphism(t *testing.T) {
 		}
 		m, _ := NewModel(l)
 		gs := m.NewGradSet()
-		x := randSeq(r, 5, 2)
-		y := randSeq(r, 5, units)
+		xs := randSeqs(r, 2, 5, 2)
+		ys := randSeqs(r, 2, 5, units)
 		ctx := Context{Train: true, WS: ws}
 		for i := 0; i < 2; i++ {
-			ws.Reset()
-			out, caches := m.Forward(x, &ctx)
-			dOut := ws.seq(len(out), len(out[0]))
-			loss.EvalInto(dOut, out, y)
-			m.Backward(caches, dOut, gs)
+			trainPass(m, &ctx, xs, ys, loss, gs)
 		}
-		// Cross-check against the allocation-free-free path.
-		ctxA := Context{Train: true}
+		// Cross-check against the allocate-per-call path.
 		gsA := m.NewGradSet()
-		outA, cachesA := m.Forward(x, &ctxA)
-		_, dOutA := loss.Eval(outA, y)
-		m.Backward(cachesA, dOutA, gsA)
+		gradBatch(m, xs, ys, loss, gsA)
 		gs.Zero()
-		ws.Reset()
-		out, caches := m.Forward(x, &ctx)
-		dOut := ws.seq(len(out), len(out[0]))
-		loss.EvalInto(dOut, out, y)
-		m.Backward(caches, dOut, gs)
-		fa, fb := gs.Flat(), gsA.Flat()
-		for pi := range fa {
-			for k := range fa[pi].Data {
-				if fa[pi].Data[k] != fb[pi].Data[k] {
-					t.Fatalf("units=%d grad %d[%d]: %v vs %v", units, pi, k, fa[pi].Data[k], fb[pi].Data[k])
-				}
-			}
-		}
+		trainPass(m, &ctx, xs, ys, loss, gs)
+		gradSetsWithin(t, gs, gsA, 0)
 	}
 }

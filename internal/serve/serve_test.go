@@ -10,6 +10,8 @@ import (
 
 	"github.com/evfed/evfed/internal/anomaly"
 	"github.com/evfed/evfed/internal/autoencoder"
+	"github.com/evfed/evfed/internal/nn"
+	"github.com/evfed/evfed/internal/reftest"
 	"github.com/evfed/evfed/internal/rng"
 )
 
@@ -118,8 +120,9 @@ func collect(t testing.TB, s *Service, station string, values []float64) []Verdi
 }
 
 // TestServiceMatchesStream: the sharded service must be
-// decision-for-decision identical to the single-feed anomaly.Stream over
-// the same detector and threshold.
+// decision-for-decision, bit-for-bit identical to the single-feed
+// anomaly.Stream over the detector's StreamScorer and the same threshold,
+// and agree with the naive single-goroutine replay in internal/reftest.
 func TestServiceMatchesStream(t *testing.T) {
 	det, thr := testDetector(t)
 	values := attackSeries(300, 29, 37)
@@ -137,12 +140,10 @@ func TestServiceMatchesStream(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g := got[i]
-			if g.Index != want.Index || g.Ready != want.Ready || g.Flagged != want.Flagged ||
-				math.Abs(g.Score-want.Score) > 1e-12 {
+			if g := got[i]; g.StreamDecision != want {
 				t.Fatalf("batch %d, point %d: got %+v, want %+v", batch, i, g.StreamDecision, want)
 			}
-			if g.Mitigated != v || g.Value != v {
+			if g := got[i]; g.Mitigated != v || g.Value != v {
 				t.Fatalf("point %d: mitigation off, value %v, got mitigated %v", i, v, g.Mitigated)
 			}
 			if want.Flagged {
@@ -151,6 +152,68 @@ func TestServiceMatchesStream(t *testing.T) {
 		}
 		if flagged == 0 {
 			t.Fatal("test feed produced no flagged points; spikes too small")
+		}
+		matchesReplay(t, det, thr, false, values, got)
+	}
+}
+
+// replayTol bounds |service − reference| on scores and mitigated values:
+// the reference sums left to right in plain float64, the service through
+// the blocked GEMM kernels.
+const replayTol = 1e-12
+
+// matchesReplay holds a station's verdicts to reftest.Replay of the same
+// feed: scores and mitigated values within replayTol, and the same flag
+// unless the reference score lies within replayTol of the threshold.
+func matchesReplay(t *testing.T, det *autoencoder.Detector, thr float64, mitigate bool, values []float64, got []Verdict) {
+	t.Helper()
+	c := det.Config()
+	spec := nn.AutoencoderSpec(c.SeqLen, c.EncoderUnits, c.Bottleneck, c.Dropout)
+	want, err := reftest.Replay(spec, det.Model().WeightsVector(), c.SeqLen, thr, mitigate, values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range want {
+		g := got[i]
+		switch {
+		case g.Index != w.Index || g.Ready != w.Ready:
+			t.Fatalf("point %d: got %+v, reference %+v", i, g.StreamDecision, w.StreamDecision)
+		case math.Abs(g.Score-w.Score) > replayTol || math.Abs(g.Mitigated-w.Mitigated) > replayTol:
+			t.Fatalf("point %d: score %v mitigated %v, reference %v %v", i, g.Score, g.Mitigated, w.Score, w.Mitigated)
+		case g.Flagged != w.Flagged && math.Abs(w.Score-thr) > replayTol:
+			t.Fatalf("point %d: flagged %v at score %v, reference %v, threshold %v", i, g.Flagged, g.Score, w.Score, thr)
+		}
+	}
+}
+
+// TestCalibrateThresholdIsServiceScore: the threshold CalibrateThreshold
+// derives from a feed is bit-equal to the same percentile rank of the
+// scores the service's batched scorer gives the feed's ring windows.
+func TestCalibrateThresholdIsServiceScore(t *testing.T) {
+	det, _ := testDetector(t)
+	values := testSeries(600, 11)
+	ring, err := anomaly.NewRing(testSeqLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var windows [][]float64
+	for _, v := range values {
+		if _, w, ok := ring.Push(v); ok {
+			windows = append(windows, append([]float64(nil), w...))
+		}
+	}
+	scores := make([]float64, len(windows))
+	if err := det.NewBatchScorer().ScoreLastInto(scores, nil, windows); err != nil {
+		t.Fatal(err)
+	}
+	sort.Float64s(scores)
+	for _, pct := range []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98, 0.99} {
+		got, err := CalibrateThreshold(det, values, pct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := scores[int(pct*float64(len(scores)))]; got != want {
+			t.Fatalf("p%v: threshold %v, service score at that rank %v", pct*100, got, want)
 		}
 	}
 }
@@ -269,6 +332,7 @@ func TestMitigation(t *testing.T) {
 	if flagged == 0 {
 		t.Fatal("no flagged points in mitigation feed")
 	}
+	matchesReplay(t, det, thr, true, values, got)
 }
 
 // TestManyStationsContinuity: hundreds of stations interleaved across
