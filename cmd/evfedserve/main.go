@@ -7,8 +7,8 @@
 // Usage:
 //
 //	evfedserve -model detector.bin [-threshold X] [-codec binary|http]
-//	    [-addr :9090] [-reload-addr :9091] [-shards N] [-batch N]
-//	    [-depth N] [-mitigate] [-idle-ttl 0] [-no-steal] [-persist FILE]
+//	    [-addr :9090] [-reload-addr :9091] [-shards N] [-depth N]
+//	    [-mitigate] [-idle-ttl 0] [-persist FILE]
 //	    [-canary] [-canary-fraction 0.25] [-canary-sample-every 4]
 //	    [-canary-shadow 512] [-canary-promote 1024]
 //	evfedserve -train-synthetic [-quick] ...
@@ -83,14 +83,12 @@ func run(fs *flag.FlagSet, args []string, onStart func(started) (stop <-chan str
 		addr      = fs.String("addr", ":9090", "scoring listener address")
 		reload    = fs.String("reload-addr", ":9091", "HTTP control-plane address (empty disables)")
 		shards    = fs.Int("shards", 0, "scoring shards (0 = GOMAXPROCS)")
-		batch     = fs.Int("batch", 8, "steal gate: a wave of at least 2×N windows offers chunks of ≥ N to idle shards (every wave is scored batched)")
 		depth     = fs.Int("depth", 1024, "per-shard bounded queue depth")
 		mitigate  = fs.Bool("mitigate", false, "replace flagged values with their reconstruction")
 		synth     = fs.Bool("train-synthetic", false, "train a detector on synthetic zone data at startup")
 		quick     = fs.Bool("quick", false, "with -train-synthetic: smaller model, faster training")
 		seed      = fs.Uint64("seed", 1, "seed for -train-synthetic")
 		idleTTL   = fs.Duration("idle-ttl", 0, "evict stations idle longer than this (0 = never)")
-		noSteal   = fs.Bool("no-steal", false, "disable wave rebalancing between shards (hot-shard overflow stays on its owner)")
 		persist   = fs.String("persist", "", "snapshot the serving detector (calibrated format) here on graceful shutdown; an existing snapshot is resumed at startup, taking precedence over -model")
 		snapEvery = fs.Duration("snapshot-every", 0, "also snapshot the serving detector to -persist at this interval (0 = shutdown only), so a crash loses at most one interval of hot reloads")
 
@@ -123,14 +121,12 @@ func run(fs *flag.FlagSet, args []string, onStart func(started) (stop <-chan str
 	}
 
 	svc, err := serve.New(serve.Config{
-		Detector:       det,
-		Threshold:      thr,
-		Shards:         *shards,
-		QueueDepth:     *depth,
-		BatchThreshold: *batch,
-		Mitigate:       *mitigate,
-		IdleTTL:        *idleTTL,
-		DisableSteal:   *noSteal,
+		Detector:   det,
+		Threshold:  thr,
+		Shards:     *shards,
+		QueueDepth: *depth,
+		Mitigate:   *mitigate,
+		IdleTTL:    *idleTTL,
 		Rollout: serve.RolloutConfig{
 			Enabled:        *canary,
 			CanaryFraction: *canaryFrac,
@@ -248,9 +244,9 @@ func run(fs *flag.FlagSet, args []string, onStart func(started) (stop <-chan str
 	s := svc.Stats()
 	fmt.Fprintf(os.Stderr, "served %d points (%d flagged, %d stations, epoch %d)\n",
 		s.Points, s.Flagged, s.Stations, s.Epoch)
-	fmt.Fprintf(os.Stderr, "verdict latency p50 %.1fµs, p90 %.1fµs, p99 %.1fµs, p999 %.1fµs (waves rebalanced: %d offered, %d stolen)\n",
+	fmt.Fprintf(os.Stderr, "verdict latency p50 %.1fµs, p90 %.1fµs, p99 %.1fµs, p999 %.1fµs (%d wave chunks split off)\n",
 		s.LatencyP50Micros, s.LatencyP90Micros, s.LatencyP99Micros, s.LatencyP999Micros,
-		s.StealOffered, s.StealStolen)
+		s.StealOffered)
 	return nil
 }
 

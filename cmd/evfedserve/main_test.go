@@ -28,7 +28,7 @@ func TestServeSmoke(t *testing.T) {
 		done <- run(fs, []string{
 			"-train-synthetic", "-quick", "-seed", "3",
 			"-codec", "binary", "-addr", "127.0.0.1:0", "-reload-addr", "127.0.0.1:0",
-			"-shards", "2", "-batch", "4", "-mitigate",
+			"-shards", "2", "-mitigate",
 		}, func(st started) <-chan struct{} {
 			ready <- st
 			return stop
@@ -122,7 +122,7 @@ func TestCanarySmoke(t *testing.T) {
 		done <- run(fs, []string{
 			"-train-synthetic", "-quick", "-seed", "3",
 			"-codec", "binary", "-addr", "127.0.0.1:0", "-reload-addr", "127.0.0.1:0",
-			"-shards", "2", "-batch", "4",
+			"-shards", "2",
 			"-canary", "-canary-fraction", "0.5", "-canary-sample-every", "1",
 			"-canary-shadow", "64", "-canary-promote", "64",
 			"-idle-ttl", "30m", "-persist", persistPath,

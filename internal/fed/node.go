@@ -383,45 +383,10 @@ func (nd *node) upBytes(dim, idLen int) uint64 {
 // their updates/errs slots must not be read.
 func (nd *node) runSelected(selected []int, trainOne func(int), roundStart time.Time, onDone func(int)) {
 	deadline := nd.cfg.RoundDeadline
-
-	if !nd.cfg.Parallel {
-		if deadline <= 0 {
-			for _, i := range selected {
-				trainOne(i)
-				onDone(i)
-			}
-			return
-		}
-		// Sequential order is preserved, but each peer runs in a
-		// goroutine so an in-flight hung call can still be abandoned when
-		// the round deadline fires.
-		timer := time.NewTimer(deadline - time.Since(roundStart))
-		defer timer.Stop()
-		for _, i := range selected {
-			ch := make(chan struct{})
-			go func(i int) {
-				trainOne(i)
-				close(ch)
-			}(i)
-			select {
-			case <-ch:
-				onDone(i)
-			case <-timer.C:
-				// If the peer completed in the same instant the timer
-				// fired, keep its result instead of discarding real work.
-				select {
-				case <-ch:
-					onDone(i)
-				default:
-				}
-				return // abandon the in-flight peer and the rest
-			}
-		}
-		return
-	}
-
 	workers := nd.cfg.MaxConcurrentClients
-	if workers <= 0 || workers > len(selected) {
+	if !nd.cfg.Parallel {
+		workers = 1 // sequential: one peer at a time, in selection order
+	} else if workers <= 0 || workers > len(selected) {
 		workers = len(selected)
 	}
 	// A fixed pool of workers pulls from a pre-filled, closed work channel

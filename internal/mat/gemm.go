@@ -494,14 +494,3 @@ func (z *Matrix) GateActivationsRows(u int) {
 		SigmoidPanel(row[3*u:])
 	}
 }
-
-// SigmoidRows applies the logistic function to columns [lo, hi) of every
-// row of z (the batched SigmoidInPlace over a column panel).
-func (z *Matrix) SigmoidRows(lo, hi int) {
-	if lo < 0 || hi > z.Cols || lo > hi {
-		panic(fmt.Sprintf("mat: SigmoidRows columns [%d, %d) of %d", lo, hi, z.Cols))
-	}
-	for i := 0; i < z.Rows; i++ {
-		SigmoidPanel(z.Row(i)[lo:hi])
-	}
-}

@@ -259,19 +259,6 @@ func TestGateActivationsRows(t *testing.T) {
 	matsClose(t, "GateActivationsRows", z, want, 1e-15)
 }
 
-func TestSigmoidRows(t *testing.T) {
-	z := NewMatrix(3, 6)
-	for i := range z.Data {
-		z.Data[i] = float64(i) - 8
-	}
-	want := z.Clone()
-	z.SigmoidRows(2, 5)
-	for i := 0; i < 3; i++ {
-		SigmoidInPlace(want.Row(i)[2:5])
-	}
-	matsClose(t, "SigmoidRows", z, want, 1e-15)
-}
-
 func TestGEMMShapePanics(t *testing.T) {
 	a := NewMatrix(2, 3)
 	bad := NewMatrix(2, 4)
@@ -283,7 +270,6 @@ func TestGEMMShapePanics(t *testing.T) {
 		"MulTBias": func() { dst.MulTBias(a, NewMatrix(2, 3), []float64{1}) },
 		"ColSums":  func() { dst.ColSumsAdd([]float64{1}) },
 		"GateRows": func() { dst.GateActivationsRows(3) },
-		"SigRows":  func() { dst.SigmoidRows(1, 9) },
 	} {
 		func() {
 			defer func() {

@@ -96,7 +96,7 @@ func pump(t *testing.T, s *Service, names []string, gen uint64, budget int) map[
 // scoring.
 func TestRolloutAutoPromote(t *testing.T) {
 	cfg := testRollout()
-	s := newTestService(t, Config{Shards: 2, BatchThreshold: 4, Rollout: cfg})
+	s := newTestService(t, Config{Shards: 2, Rollout: cfg})
 	names, cohort := testStations(t, cfg.CanaryFraction)
 
 	gen, err := s.StageWeights(perturbedWeights(t, 3), 0)
@@ -139,7 +139,7 @@ func TestRolloutAutoPromote(t *testing.T) {
 // serving on its old epoch.
 func TestRolloutAutoRollback(t *testing.T) {
 	cfg := testRollout()
-	s := newTestService(t, Config{Shards: 2, BatchThreshold: 4, Rollout: cfg})
+	s := newTestService(t, Config{Shards: 2, Rollout: cfg})
 	names, _ := testStations(t, cfg.CanaryFraction)
 
 	gen, err := s.StageWeights(poisonedWeights(t), 0)
@@ -336,7 +336,7 @@ func TestCanaryUnderLoad(t *testing.T) {
 		pointBurst = 64
 	)
 	cfg := testRollout()
-	s := newTestService(t, Config{Shards: 3, BatchThreshold: 4, QueueDepth: 64, Mitigate: true, Rollout: cfg})
+	s := newTestService(t, Config{Shards: 3, QueueDepth: 64, Mitigate: true, Rollout: cfg})
 	feed := attackSeries(pointBurst, 13, 17)
 
 	var stop atomic.Bool

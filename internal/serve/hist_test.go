@@ -105,7 +105,7 @@ func TestHistQuantile(t *testing.T) {
 // TestHistStatsExposure: the service folds shard histograms into the
 // Stats percentiles (and keeps p999 ≥ p50).
 func TestHistStatsExposure(t *testing.T) {
-	s := newTestService(t, Config{Shards: 2, BatchThreshold: 4})
+	s := newTestService(t, Config{Shards: 2})
 	collect(t, s, "z1", testSeries(64, 3))
 	st := s.Stats()
 	if st.LatencyP50Micros <= 0 {

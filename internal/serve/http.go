@@ -79,8 +79,7 @@ type statsJSON struct {
 	Evicted        uint64 `json:"evicted"`
 	ShadowWindows  uint64 `json:"shadowWindows"`
 	CanaryServed   uint64 `json:"canaryServed"`
-	StealOffered   uint64 `json:"stealOffered"`
-	StealStolen    uint64 `json:"stealStolen"`
+	StealOffered   uint64 `json:"stealOffered"` // wave chunks forked (split.go)
 	// Submit→verdict latency percentiles in microseconds, from the
 	// per-shard fixed-bin histograms.
 	LatencyP50Micros  float64 `json:"latencyP50Micros"`
@@ -307,7 +306,6 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 		ShadowWindows:  st.ShadowWindows,
 		CanaryServed:   st.CanaryServed,
 		StealOffered:   st.StealOffered,
-		StealStolen:    st.StealStolen,
 
 		LatencyP50Micros:  st.LatencyP50Micros,
 		LatencyP90Micros:  st.LatencyP90Micros,
@@ -335,6 +333,6 @@ func httpError(w http.ResponseWriter, status int, msg string) {
 
 // String summarizes the service for startup logs.
 func (s *Service) String() string {
-	return fmt.Sprintf("serve: %d shards, queue %d, steal at ≥%d windows, seqLen %d, epoch %d",
-		len(s.shards), s.cfg.QueueDepth, 2*s.cfg.BatchThreshold, s.SeqLen(), s.Epoch())
+	return fmt.Sprintf("serve: %d shards, queue %d, split at ≥%d windows, seqLen %d, epoch %d",
+		len(s.shards), s.cfg.QueueDepth, 2*minChunk, s.SeqLen(), s.Epoch())
 }

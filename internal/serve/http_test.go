@@ -32,7 +32,7 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 // scoring, stats, health, and a weights reload that scores subsequent
 // points on the new epoch.
 func TestHTTPScoreAndControl(t *testing.T) {
-	s := newTestService(t, Config{Shards: 2, BatchThreshold: 4})
+	s := newTestService(t, Config{Shards: 2})
 	data := httptest.NewServer(s.Handler())
 	defer data.Close()
 	ctrl := httptest.NewServer(s.ControlHandler())

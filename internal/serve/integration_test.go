@@ -22,7 +22,7 @@ func TestFederatedHotReloadLoop(t *testing.T) {
 		t.Fatal("empty model")
 	}
 
-	s := newTestService(t, Config{Shards: 2, BatchThreshold: 4})
+	s := newTestService(t, Config{Shards: 2})
 
 	var handles []fed.ClientHandle
 	for i := 0; i < 3; i++ {

@@ -104,7 +104,7 @@ func TestHotReloadUnderLoad(t *testing.T) {
 		perStation = 60
 		reloads    = 5
 	)
-	s := newTestService(t, Config{Shards: 3, BatchThreshold: 4, QueueDepth: 64, Mitigate: true})
+	s := newTestService(t, Config{Shards: 3, QueueDepth: 64, Mitigate: true})
 	feed := attackSeries(perStation, 13, 17)
 
 	var delivered atomic.Uint64

@@ -51,15 +51,14 @@ func TestMultiProducerStress(t *testing.T) {
 		points = 120
 	}
 	s := newTestService(t, Config{
-		Shards:         shards,
-		QueueDepth:     64,
-		BatchThreshold: 4,
-		Mitigate:       true,
-		Rollout:        testRollout(),
+		Shards:     shards,
+		QueueDepth: 64,
+		Mitigate:   true,
+		Rollout:    testRollout(),
 	})
 
 	// Half the stations land on shard 0 (hot), the rest on shard 1, so
-	// two shards stay idle and are available as steal helpers.
+	// two shards stay idle and park, ready to take split wave chunks.
 	hot := mineNames("hot", producers*perProd/2, shards, 0)
 	cold := mineNames("cold", producers*perProd/2, shards, 1)
 	names := append(append([]string{}, hot...), cold...)
@@ -204,7 +203,7 @@ func TestMultiProducerStress(t *testing.T) {
 // TestHandleSubmitZeroAlloc guards the steady-state handle submit path:
 // after warmup, neither Submit nor a 1-point SubmitN may allocate.
 func TestHandleSubmitZeroAlloc(t *testing.T) {
-	s := newTestService(t, Config{Shards: 1, BatchThreshold: 4})
+	s := newTestService(t, Config{Shards: 1})
 	h, err := s.Station("z-alloc")
 	if err != nil {
 		t.Fatal(err)
@@ -275,82 +274,25 @@ func TestStationHandleSurvivesEviction(t *testing.T) {
 	}
 }
 
-// TestStealMechanics drives the chunk handoff deterministically through
-// package internals: a chunk posted in one shard's mailbox is taken and
-// scored by another shard's tryStealOnce, producing bit-identical results
-// to scoring it locally, and the mailbox is left empty.
-func TestStealMechanics(t *testing.T) {
-	s := newTestService(t, Config{Shards: 2, BatchThreshold: 4})
-	s.Close() // park the shard goroutines out of the way; structs stay usable
-	sh0, sh1 := s.shards[0], s.shards[1]
-	state := s.state.Load()
-
-	seqLen := s.SeqLen()
-	series := testSeries(6+seqLen, 5)
-	windows := make([][]float64, 6)
-	for i := range windows {
-		windows[i] = series[i : i+seqLen]
-	}
-	scores := make([]float64, 6)
-	recons := make([]float64, 6)
-
-	c := sh0.chunks[0]
-	c.state = state
-	c.windows = windows
-	c.scores = scores
-	c.recons = recons
-	c.byHelper = false
-	sh0.offers[0].Store(c)
-
-	if !sh1.tryStealOnce() {
-		t.Fatal("tryStealOnce found no offered chunk")
-	}
-	if sh0.offers[0].Load() != nil {
-		t.Fatal("mailbox not emptied by the steal")
-	}
-	if !c.byHelper {
-		t.Fatal("chunk not marked helper-scored")
-	}
-	select {
-	case <-c.done:
-	default:
-		t.Fatal("helper did not signal completion")
-	}
-	if c.err != nil {
-		t.Fatalf("chunk scoring error: %v", c.err)
-	}
-	// Reference: the same batched pass on fresh scorers is deterministic.
-	refS := make([]float64, 6)
-	refR := make([]float64, 6)
-	if err := state.det.NewBatchScorer().ScoreLastInto(refS, refR, windows); err != nil {
-		t.Fatal(err)
-	}
-	for i := range refS {
-		if scores[i] != refS[i] || recons[i] != refR[i] {
-			t.Fatalf("window %d: stolen score (%v,%v) != local (%v,%v)",
-				i, scores[i], recons[i], refS[i], refR[i])
-		}
-	}
-	if sh1.tryStealOnce() {
-		t.Fatal("tryStealOnce found work in empty mailboxes")
-	}
-}
-
-// TestStealParity: the service with rebalancing on must reach the same
-// decisions as with it off, and must actually offer chunks when a hot
-// shard sees oversized waves; DisableSteal must keep the mailboxes cold.
-func TestStealParity(t *testing.T) {
-	const nStations = 8
+// TestWaveSplitParity: a 2-shard service whose stations all hash onto
+// shard 0 splits that shard's waves over its parked sibling, and must
+// reach bit-identical verdicts to a 1-shard service, which never splits.
+func TestWaveSplitParity(t *testing.T) {
+	const nStations = 24 // 3×minChunk windows per round: waves split
 	rounds := 100
 	if testing.Short() {
 		rounds = 50
 	}
-	names := mineNames("steal", nStations, 2, 0) // all on shard 0: maximally hot
-	run := func(disable bool) (map[string][]Verdict, Stats) {
-		s := newTestService(t, Config{Shards: 2, BatchThreshold: 2, DisableSteal: disable})
-		handles := make([]*Station, nStations)
+	names := mineNames("split", nStations, 2, 0) // all on shard 0: maximally hot
+	feeds := make([][]float64, nStations)
+	for i := range feeds {
+		feeds[i] = attackSeries(rounds, uint64(40+i), 23)
+	}
+	run := func(shards int) (map[string][]Verdict, Stats) {
+		s := newTestService(t, Config{Shards: shards, Mitigate: true})
 		got := make(map[string][]Verdict, nStations)
 		replies := make([]func(Verdict), nStations)
+		handles := make([]*Station, nStations)
 		var pending sync.WaitGroup
 		for i, name := range names {
 			h, err := s.Station(name)
@@ -358,34 +300,26 @@ func TestStealParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			handles[i] = h
-			vs := make([]Verdict, 0, rounds)
-			got[name] = vs
-			idx := name
 			replies[i] = func(v Verdict) {
-				got[idx] = append(got[idx], v)
+				got[name] = append(got[name], v)
 				pending.Done()
 			}
 		}
-		feeds := make([][]float64, nStations)
-		for i := range feeds {
-			feeds[i] = attackSeries(rounds, uint64(40+i), 23)
-		}
+		// Hold shard 0 on a gate verdict while each round is queued, so
+		// the round lands in one drain whatever the core count.
+		gateName := mineNames("gate", 1, shards, 0)[0]
 		for r := 0; r < rounds; r++ {
-			pending.Add(nStations)
-			// Burst all stations' next points so shard 0 sees multi-window
-			// waves (the steal trigger), then barrier on the round.
+			gate := make(chan struct{})
+			pending.Add(1 + nStations)
+			if err := s.Submit(gateName, 0.5, func(Verdict) { <-gate; pending.Done() }); err != nil {
+				t.Fatal(err)
+			}
 			for i, h := range handles {
-				for {
-					err := h.Submit(feeds[i][r], replies[i])
-					if err == nil {
-						break
-					}
-					if err != ErrBacklog {
-						t.Fatal(err)
-					}
-					runtime.Gosched()
+				if err := h.Submit(feeds[i][r], replies[i]); err != nil {
+					t.Fatal(err)
 				}
 			}
+			close(gate)
 			pending.Wait()
 		}
 		st := s.Stats()
@@ -393,25 +327,27 @@ func TestStealParity(t *testing.T) {
 		return got, st
 	}
 
-	on, stOn := run(false)
-	off, stOff := run(true)
-	if stOff.StealOffered != 0 {
-		t.Fatalf("DisableSteal service offered %d chunks", stOff.StealOffered)
+	split, stSplit := run(2)
+	ref, stRef := run(1)
+	if stRef.StealOffered != 0 {
+		t.Fatalf("1-shard service split off %d chunks", stRef.StealOffered)
 	}
-	if stOn.StealOffered == 0 {
-		t.Fatal("hot shard never offered a chunk with stealing enabled")
+	if stSplit.StealOffered == 0 {
+		t.Fatal("hot shard never split a wave onto its parked sibling")
 	}
-	for name, a := range on {
-		b := off[name]
-		if len(a) != len(b) {
-			t.Fatalf("station %s: %d vs %d verdicts", name, len(a), len(b))
+	if stSplit.StealStolen != stSplit.StealOffered {
+		t.Fatalf("StealStolen %d != StealOffered %d", stSplit.StealStolen, stSplit.StealOffered)
+	}
+	for _, name := range names {
+		a, b := split[name], ref[name]
+		if len(a) != rounds || len(b) != rounds {
+			t.Fatalf("station %s: %d and %d verdicts, want %d", name, len(a), len(b), rounds)
 		}
 		for i := range a {
 			// Chunked scoring is row-invariant, so the streams are
 			// bit-identical, not merely close.
-			if a[i].StreamDecision != b[i].StreamDecision {
-				t.Fatalf("station %s point %d: steal-on %+v vs steal-off %+v",
-					name, i, a[i].StreamDecision, b[i].StreamDecision)
+			if a[i] != b[i] {
+				t.Fatalf("station %s point %d: split %+v vs 1-shard %+v", name, i, a[i], b[i])
 			}
 		}
 	}

@@ -5,7 +5,7 @@
 // anomaly verdicts with optional reconstruction-based mitigation — the
 // paper's detection pipeline turned into a deployable online system.
 //
-// Architecture (DESIGN.md §9, multi-core ingress and rebalancing §12):
+// Architecture (DESIGN.md §9, multi-core ingress and wave splitting §12):
 //
 //   - Stations hash onto shards. Each shard is one goroutine owning a
 //     bounded MPSC ingress ring plus every assigned station's look-back
@@ -23,11 +23,11 @@
 //     The kernels are row-invariant, so a window's score does not depend
 //     on the wave it lands in: a station fed point by point gets the
 //     same bits as one fed in bulk next to hundreds of others.
-//   - A hot shard (skewed station hash) offers the scoring half of an
-//     oversized wave to idle shards (steal.go): only the pure inference
-//     pass moves — rings, mitigation rewrites and verdict delivery stay
-//     with the owner, so per-station order and index contiguity are
-//     preserved by construction.
+//   - A hot shard (skewed station hash) splits the scoring half of an
+//     oversized wave over its parked siblings' cores (split.go): only the
+//     pure inference pass moves — rings, mitigation rewrites and verdict
+//     delivery stay with the owner, so per-station order and index
+//     contiguity are preserved by construction.
 //   - Backpressure is structural: a full ingress ring rejects Submit with
 //     ErrBacklog instead of growing, so a producer outrunning a shard
 //     costs bounded memory.
@@ -93,11 +93,6 @@ type Config struct {
 	// ring rejects Submit with ErrBacklog. Rounded up to a power of two
 	// (the ring's index math requires it). 0 = 1024.
 	QueueDepth int
-	// BatchThreshold sets the steal gate: a wave of at least
-	// 2×BatchThreshold ready windows offers chunks of at least
-	// BatchThreshold windows to idle shards (steal.go). Every wave is
-	// scored through the batched path whatever its size. 0 = 8.
-	BatchThreshold int
 	// Mitigate substitutes a flagged observation's reconstruction for its
 	// raw value — in the emitted verdict and in the station's look-back
 	// window, so an attack burst cannot poison the windows that judge the
@@ -117,11 +112,6 @@ type Config struct {
 	// every verdict it was promised, and a station re-created after
 	// eviction starts a fresh window with indices from 0.
 	IdleTTL time.Duration
-	// DisableSteal turns off wave rebalancing between shards (steal.go).
-	// With it off (the default), a hot shard offers the inference half of
-	// oversized waves to idle shards; rings and verdict delivery never
-	// migrate either way.
-	DisableSteal bool
 	// Rollout parameterizes staged canary rollout of candidate models
 	// (see RolloutConfig); zero-valued = disabled.
 	Rollout RolloutConfig
@@ -177,9 +167,10 @@ type Stats struct {
 	// live to its cohort.
 	ShadowWindows uint64
 	CanaryServed  uint64
-	// StealOffered counts wave chunks hot shards offered for
-	// rebalancing; StealStolen counts the offers idle shards actually
-	// scored (the difference was reclaimed and scored by the owner).
+	// StealOffered counts wave chunks hot shards forked onto their parked
+	// siblings' cores (split.go). StealStolen always equals it: every
+	// forked chunk is scored off the owner. Both keep their names for
+	// existing readers.
 	StealOffered uint64
 	StealStolen  uint64
 	// Latency percentiles of the submit→verdict path in microseconds,
@@ -241,9 +232,6 @@ type Service struct {
 	stations sync.Map // station name → *station
 	nStation atomic.Uint64
 	evicted  atomic.Uint64
-	// stealWake nudges parked shards when a hot shard posts offers; cap
-	// Shards bounds stale tokens (a spurious wake is one empty scan).
-	stealWake chan struct{}
 
 	closedFlag atomic.Bool // submit-path fast check; authoritative per-shard
 
@@ -262,24 +250,15 @@ func New(cfg Config) (*Service, error) {
 	if !(cfg.Threshold > 0) {
 		return nil, fmt.Errorf("%w: threshold %v", ErrBadConfig, cfg.Threshold)
 	}
-	if cfg.Shards < 0 || cfg.QueueDepth < 0 || cfg.BatchThreshold < 0 || cfg.MaxStations < 0 {
-		return nil, fmt.Errorf("%w: shards %d, queue depth %d, batch threshold %d, max stations %d",
-			ErrBadConfig, cfg.Shards, cfg.QueueDepth, cfg.BatchThreshold, cfg.MaxStations)
+	if cfg.Shards < 0 || cfg.QueueDepth < 0 || cfg.MaxStations < 0 {
+		return nil, fmt.Errorf("%w: shards %d, queue depth %d, max stations %d",
+			ErrBadConfig, cfg.Shards, cfg.QueueDepth, cfg.MaxStations)
 	}
 	if cfg.Shards == 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = 1024
-	}
-	if cfg.BatchThreshold == 0 {
-		cfg.BatchThreshold = 8
-	}
-	if cfg.BatchThreshold > cfg.QueueDepth+1 {
-		// A drain can never hold more than the ring's capacity, so a
-		// larger threshold would silently disable the stealing the caller
-		// asked for.
-		cfg.BatchThreshold = cfg.QueueDepth + 1
 	}
 	if cfg.MaxStations == 0 {
 		cfg.MaxStations = 65536
@@ -293,15 +272,9 @@ func New(cfg Config) (*Service, error) {
 			return nil, err
 		}
 	}
-	s := &Service{cfg: cfg, base: time.Now(), stealWake: make(chan struct{}, cfg.Shards)}
+	s := &Service{cfg: cfg, base: time.Now()}
 	s.state.Store(&modelState{det: cfg.Detector, threshold: cfg.Threshold, epoch: 1})
-	maxDrain := cfg.QueueDepth
-	if maxDrain > 512 {
-		maxDrain = 512
-	}
-	if maxDrain < cfg.BatchThreshold {
-		maxDrain = cfg.BatchThreshold
-	}
+	maxDrain := min(cfg.QueueDepth, 512)
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &shard{
 			svc:  s,
@@ -310,13 +283,10 @@ func New(cfg Config) (*Service, error) {
 			next: make([]task, 0, maxDrain),
 			div:  &divWindow{},
 		}
-		for j := range sh.chunks {
-			sh.chunks[j] = &stealChunk{done: make(chan struct{}, 1)}
-		}
 		s.shards = append(s.shards, sh)
 	}
-	// Start the goroutines only once the shard slice is complete: idle
-	// shards scan s.shards for steal offers.
+	// Start the goroutines only once the shard slice is complete: a
+	// splitting shard scans s.shards for parked siblings.
 	for _, sh := range s.shards {
 		s.wg.Add(1)
 		go sh.loop()
@@ -633,9 +603,9 @@ func (s *Service) Stats() Stats {
 		out.CanaryServed += sh.canaryServed.Load()
 		out.Rejected += sh.rejected.Load()
 		out.StealOffered += sh.stealOffered.Load()
-		out.StealStolen += sh.stealStolen.Load()
 		sh.hist.mergeInto(&merged)
 	}
+	out.StealStolen = out.StealOffered
 	var total uint64
 	for _, c := range merged {
 		total += c
@@ -682,7 +652,7 @@ func (s *Service) Close() {
 // rejected) are padded away from the consumer's state so multi-producer
 // submission does not false-share with the drain loop; everything below
 // the padding is touched only by the shard goroutine, except the atomic
-// counters (read by Stats) and the steal mailboxes.
+// counters (read by Stats) and the parked flag a splitting sibling reads.
 type shard struct {
 	svc *Service
 	q   *mpsc
@@ -705,12 +675,12 @@ type shard struct {
 	shadowTick uint64
 	nEmit      int
 
-	// steal-side scorer: rebuilt per chunk epoch, separate from the
-	// serving one so helping a hot shard never thrashes our own scratch
-	stealBatch *autoencoder.BatchScorer
-	stealEpoch int
-	offers     [maxOffers]offerBox
-	chunks     [maxOffers]*stealChunk
+	// wave-split forks (split.go): one scorer per fork slot, built on
+	// first use and dropped on a model epoch change; forkErr is written
+	// by fork k and read after the join
+	helpers [maxOffers]*autoencoder.BatchScorer
+	forkErr [maxOffers]error
+	forks   sync.WaitGroup
 
 	// reusable scratch
 	cur, next []task
@@ -734,8 +704,6 @@ type shard struct {
 	shadowWin    atomic.Uint64
 	canaryServed atomic.Uint64
 	stealOffered atomic.Uint64
-	stealStolen  atomic.Uint64
-	stealRuns    atomic.Uint64
 
 	hist latHist
 }
@@ -744,8 +712,7 @@ type shard struct {
 // gathers up to cap(cur) pending tasks, loads the serving model once
 // (the copy-on-write reload boundary: everything drained in this cycle
 // scores on this model), and processes the tasks in waves. An empty ring
-// parks the goroutine (idle), where it also volunteers for other shards'
-// offered wave chunks.
+// parks the goroutine (idle).
 func (sh *shard) loop() {
 	defer sh.svc.wg.Done()
 	for {
@@ -767,38 +734,22 @@ func (sh *shard) loop() {
 	}
 }
 
-// idle parks the shard until new work arrives, stealing offered wave
-// chunks while it waits. It returns true when the service has closed and
-// the ring is fully drained (the goroutine should exit). The
-// parked-flag/recheck ordering pairs with mpsc.wakeProducerSide: either
-// the producer sees parked and sends the token, or the pre-sleep recheck
-// sees the task.
+// idle parks the shard until new work arrives. It returns true when the
+// service has closed and the ring is fully drained (the goroutine should
+// exit). The parked-flag/recheck ordering pairs with
+// mpsc.wakeProducerSide: either the producer sees parked and sends the
+// token, or the pre-sleep recheck sees the task.
 func (sh *shard) idle() (done bool) {
-	for {
-		if sh.tryStealOnce() {
-			if !sh.q.empty() {
-				return false
-			}
-			continue
-		}
-		sh.q.parked.Store(true)
-		if !sh.q.empty() {
-			sh.q.parked.Store(false)
-			return false
-		}
-		if sh.closed.Load() {
-			sh.q.parked.Store(false)
-			return sh.q.empty()
-		}
-		select {
-		case <-sh.q.wake:
-			sh.q.parked.Store(false)
-			return false
-		case <-sh.svc.stealWake:
-			sh.q.parked.Store(false)
-			// Loop: scan the mailboxes, then re-park if nothing stuck.
-		}
+	sh.q.parked.Store(true)
+	defer sh.q.parked.Store(false)
+	if !sh.q.empty() {
+		return false
 	}
+	if sh.closed.Load() {
+		return sh.q.empty()
+	}
+	<-sh.q.wake
+	return false
 }
 
 // drain processes sh.cur. Tasks are split into waves holding at most one
@@ -810,6 +761,7 @@ func (sh *shard) drain() {
 	state := sh.svc.state.Load()
 	if state.epoch != sh.epoch {
 		sh.batch = state.det.NewBatchScorer()
+		sh.helpers = [maxOffers]*autoencoder.BatchScorer{}
 		sh.epoch = state.epoch
 	}
 	cur := sh.cur
@@ -836,8 +788,8 @@ func (sh *shard) drain() {
 }
 
 // wave pushes each task's observation into its station's ring, scores
-// the full windows in one batched call (rebalanced across idle shards at
-// twice BatchThreshold), and delivers verdicts.
+// the full windows in one batched call (split over parked siblings at
+// 2×minChunk windows), and delivers verdicts.
 func (sh *shard) wave(wave []task, state *modelState) {
 	sh.ready = sh.ready[:0]
 	sh.windows = sh.windows[:0]
@@ -872,12 +824,7 @@ func (sh *shard) wave(wave []task, state *modelState) {
 		sh.recons = make([]float64, n)
 	}
 	scores, recons := sh.scores[:n], sh.recons[:n]
-	var err error
-	if n >= 2*sh.svc.cfg.BatchThreshold && sh.svc.stealEnabled() {
-		err = sh.scoreWindowsStealing(state, scores, recons)
-	} else {
-		err = sh.batch.ScoreLastInto(scores, recons, sh.windows)
-	}
+	err := sh.scoreWave(state, scores, recons)
 	sh.batchCalls.Add(1)
 	sh.batchedWin.Add(uint64(n))
 	sh.nEmit = 0

@@ -126,35 +126,33 @@ func collect(t testing.TB, s *Service, station string, values []float64) []Verdi
 func TestServiceMatchesStream(t *testing.T) {
 	det, thr := testDetector(t)
 	values := attackSeries(300, 29, 37)
-	for _, batch := range []int{1, 4, 64} {
-		s := newTestService(t, Config{Shards: 2, BatchThreshold: batch})
-		got := collect(t, s, "z102", values)
+	s := newTestService(t, Config{Shards: 2})
+	got := collect(t, s, "z102", values)
 
-		ref, err := anomaly.NewStream(det.NewStreamScorer(), thr)
+	ref, err := anomaly.NewStream(det.NewStreamScorer(), thr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagged := 0
+	for i, v := range values {
+		want, err := ref.Push(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		flagged := 0
-		for i, v := range values {
-			want, err := ref.Push(v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if g := got[i]; g.StreamDecision != want {
-				t.Fatalf("batch %d, point %d: got %+v, want %+v", batch, i, g.StreamDecision, want)
-			}
-			if g := got[i]; g.Mitigated != v || g.Value != v {
-				t.Fatalf("point %d: mitigation off, value %v, got mitigated %v", i, v, g.Mitigated)
-			}
-			if want.Flagged {
-				flagged++
-			}
+		if g := got[i]; g.StreamDecision != want {
+			t.Fatalf("point %d: got %+v, want %+v", i, g.StreamDecision, want)
 		}
-		if flagged == 0 {
-			t.Fatal("test feed produced no flagged points; spikes too small")
+		if g := got[i]; g.Mitigated != v || g.Value != v {
+			t.Fatalf("point %d: mitigation off, value %v, got mitigated %v", i, v, g.Mitigated)
 		}
-		matchesReplay(t, det, thr, false, values, got)
+		if want.Flagged {
+			flagged++
+		}
 	}
+	if flagged == 0 {
+		t.Fatal("test feed produced no flagged points; spikes too small")
+	}
+	matchesReplay(t, det, thr, false, values, got)
 }
 
 // replayTol bounds |service − reference| on scores and mitigated values:
@@ -222,8 +220,8 @@ func TestCalibrateThresholdIsServiceScore(t *testing.T) {
 // its points were scored in. Stations fed point by point, one at a time
 // (every wave a wave of one), must get the same bits — score, flag and
 // mitigated value — as the same series fed in SubmitN chunks to all
-// stations at once, where waves hold many stations' windows and are split
-// into steal chunks.
+// stations at once, where waves hold many stations' windows and may be
+// split over the other shard.
 func TestWaveSizeInvariance(t *testing.T) {
 	const stations, points, chunk = 24, 120, 16
 	feeds := make([][]float64, stations)
@@ -238,7 +236,7 @@ func TestWaveSizeInvariance(t *testing.T) {
 		want[k] = collect(t, single, names[k], feed)
 	}
 
-	bulk := newTestService(t, Config{Shards: 2, QueueDepth: 4096, BatchThreshold: 2, Mitigate: true})
+	bulk := newTestService(t, Config{Shards: 2, QueueDepth: 4096, Mitigate: true})
 	// Hold both shards on a gate verdict until everything is queued, so
 	// the drains meet many stations at once on any core count.
 	gate := make(chan struct{})
@@ -339,7 +337,7 @@ func TestMitigation(t *testing.T) {
 // shards each see a private, gap-free stream.
 func TestManyStationsContinuity(t *testing.T) {
 	const stations, perStation = 50, 40
-	s := newTestService(t, Config{Shards: 4, BatchThreshold: 4})
+	s := newTestService(t, Config{Shards: 4})
 	type rec struct {
 		mu       sync.Mutex
 		verdicts []Verdict
@@ -400,7 +398,7 @@ func TestManyStationsContinuity(t *testing.T) {
 // still gets its verdict once the shard unstalls.
 func TestBackpressureBounded(t *testing.T) {
 	const depth = 8
-	s := newTestService(t, Config{Shards: 1, QueueDepth: depth, BatchThreshold: 4})
+	s := newTestService(t, Config{Shards: 1, QueueDepth: depth})
 	gate := make(chan struct{})
 	verdicts := make(chan Verdict, 4096)
 	reply := func(v Verdict) {

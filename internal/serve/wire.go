@@ -106,10 +106,6 @@ func (ws *WireServer) handle(conn net.Conn) {
 	var (
 		values   []float64
 		verdicts []wire.ScoreVerdict
-		// Per-connection station handle cache: a persistent producer
-		// streams for a stable station set, so steady-state frames skip
-		// the registry entirely (handles self-heal across idle eviction).
-		handles = make(map[string]*Station)
 	)
 	for {
 		fr, err := wc.ReadFrame()
@@ -132,14 +128,13 @@ func (ws *WireServer) handle(conn net.Conn) {
 				return
 			}
 			values = vals
-			h := handles[station]
-			if h == nil {
-				var herr error
-				if h, herr = ws.svc.Station(station); herr != nil {
-					ws.respondError(wc, wire.ErrorMsg{Code: wire.ErrCodeApp, PeerVersion: wire.Version, Text: herr.Error()})
-					return
-				}
-				handles[station] = h
+			// Resolved per frame, not cached per connection: a cache would
+			// pin every station name the producer ever sent, evicted ones
+			// included.
+			h, herr := ws.svc.Station(station)
+			if herr != nil {
+				ws.respondError(wc, wire.ErrorMsg{Code: wire.ErrCodeApp, PeerVersion: wire.Version, Text: herr.Error()})
+				return
 			}
 			var serr error
 			if verdicts, serr = ws.score(h, vals, verdicts[:0]); serr != nil {

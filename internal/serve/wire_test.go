@@ -3,9 +3,11 @@ package serve
 import (
 	"math"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"weak"
 
 	"github.com/evfed/evfed/internal/fed/wire"
 )
@@ -14,7 +16,7 @@ import (
 // gets verdicts identical to a direct in-process service over the same
 // model.
 func TestWireScoreRoundTrip(t *testing.T) {
-	s := newTestService(t, Config{Shards: 2, BatchThreshold: 4, Mitigate: true})
+	s := newTestService(t, Config{Shards: 2, Mitigate: true})
 	ws, err := ListenWire(s, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -211,4 +213,61 @@ func TestWireBadPeer(t *testing.T) {
 	if err != nil || e.Code != wire.ErrCodeVersion || e.PeerVersion != wire.Version {
 		t.Fatalf("error %+v, err %v", e, err)
 	}
+}
+
+// TestWireEvictedStationRestarts: a station evicted between two MsgScore
+// frames on one connection restarts at index 0, and the connection does
+// not keep the evicted station alive while its producer streams other
+// names.
+func TestWireEvictedStationRestarts(t *testing.T) {
+	s := newTestService(t, Config{Shards: 1, IdleTTL: 5 * time.Millisecond})
+	ws, err := ListenWire(s, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Stop()
+	c, err := DialWire(ws.Addr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	score := func(station string, want uint64) {
+		t.Helper()
+		vs, err := c.Score(station, []float64{0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(vs) != 1 || vs[0].Index != want {
+			t.Fatalf("station %s: verdicts %+v, want index %d", station, vs, want)
+		}
+	}
+	score("churn-a", 0)
+	v, ok := s.stations.Load("churn-a")
+	if !ok {
+		t.Fatal("station not registered")
+	}
+	old := weak.Make(v.(*station))
+	v = nil
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		if _, ok := s.stations.Load("churn-a"); !ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("station never evicted")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	// Another name through the same shard overwrites the shard's drain
+	// scratch, so only the connection could still hold the evicted station.
+	score("churn-b", 0)
+	deadline = time.Now().Add(2 * time.Second)
+	for old.Value() != nil {
+		if time.Now().After(deadline) {
+			t.Fatal("evicted station still reachable from the connection")
+		}
+		runtime.GC()
+	}
+	score("churn-a", 0)
 }
