@@ -1,8 +1,9 @@
 // Command evfeddetect runs the anomaly detection + mitigation filter on a
 // charging-volume CSV: the LSTM autoencoder is trained on the leading
 // (assumed-normal) fraction of the series, the 98th-percentile threshold
-// is calibrated there, and detection + interpolation mitigation is applied
-// to the full series.
+// is calibrated on that split's held-out tail (eval.TrainFilter, the same
+// rule the experiment harness uses), and detection + interpolation
+// mitigation is applied to the full series.
 //
 // Usage:
 //
@@ -24,28 +25,31 @@ import (
 	"github.com/evfed/evfed/internal/anomaly"
 	"github.com/evfed/evfed/internal/autoencoder"
 	"github.com/evfed/evfed/internal/dataset"
+	"github.com/evfed/evfed/internal/eval"
 	"github.com/evfed/evfed/internal/scale"
 	"github.com/evfed/evfed/internal/series"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(flag.CommandLine, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "evfeddetect:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(fs *flag.FlagSet, args []string) error {
 	var (
-		in        = flag.String("in", "", "input CSV (required)")
-		trainFrac = flag.Float64("train-frac", 0.8, "leading fraction used to train + calibrate")
-		out       = flag.String("out", "", "write the mitigated series CSV here")
-		flagsOut  = flag.String("flags", "", "write per-point anomaly flags CSV here")
-		quick     = flag.Bool("quick", false, "use a small autoencoder (fast, less sensitive)")
-		saveModel = flag.String("save-model", "", "persist the trained detector + threshold here (for evfedserve)")
-		seed      = flag.Uint64("seed", 1, "training seed")
+		in        = fs.String("in", "", "input CSV (required)")
+		trainFrac = fs.Float64("train-frac", 0.8, "leading fraction used to train + calibrate")
+		out       = fs.String("out", "", "write the mitigated series CSV here")
+		flagsOut  = fs.String("flags", "", "write per-point anomaly flags CSV here")
+		quick     = fs.Bool("quick", false, "use a small autoencoder (fast, less sensitive)")
+		saveModel = fs.String("save-model", "", "persist the trained detector + threshold here (for evfedserve)")
+		seed      = fs.Uint64("seed", 1, "training seed")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *in == "" {
 		return fmt.Errorf("-in is required")
 	}
@@ -69,31 +73,16 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	aeCfg := autoencoder.DefaultConfig()
-	aeCfg.Seed = *seed
-	if *quick {
-		aeCfg.EncoderUnits = 12
-		aeCfg.Bottleneck = 6
-		aeCfg.Epochs = 6
-		aeCfg.TrainStride = 3
-	}
+	aeCfg := detectorConfig(*quick, *seed)
 	fmt.Fprintf(os.Stderr, "training autoencoder (%d units, %d epochs max) on %d points...\n",
 		aeCfg.EncoderUnits, aeCfg.Epochs, len(scaledTrain))
 	start := time.Now()
-	det, hist, err := autoencoder.Train(scaledTrain, aeCfg)
+	filter, det, err := eval.TrainFilter(scaledTrain, aeCfg, anomaly.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "trained in %.1fs (%d epochs, final loss %.6f)\n",
-		time.Since(start).Seconds(), len(hist.TrainLoss), hist.FinalTrainLoss())
+	fmt.Fprintf(os.Stderr, "trained and calibrated in %.1fs\n", time.Since(start).Seconds())
 
-	filter, err := anomaly.NewFilter(autoencoder.Adapter{Detector: det}, anomaly.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	if err := filter.Calibrate(scaledTrain); err != nil {
-		return err
-	}
 	scaledAll, err := sc.Transform(s.Values)
 	if err != nil {
 		return err
@@ -160,4 +149,18 @@ func run() error {
 		}
 	}
 	return nil
+}
+
+// detectorConfig is the autoencoder configuration for a run: the paper's
+// full-size detector, or with quick a small one that trains in seconds.
+func detectorConfig(quick bool, seed uint64) autoencoder.Config {
+	cfg := autoencoder.DefaultConfig()
+	cfg.Seed = seed
+	if quick {
+		cfg.EncoderUnits = 12
+		cfg.Bottleneck = 6
+		cfg.Epochs = 6
+		cfg.TrainStride = 3
+	}
+	return cfg
 }

@@ -10,7 +10,13 @@ import (
 	"log"
 	"math"
 
-	"github.com/evfed/evfed"
+	"github.com/evfed/evfed/internal/anomaly"
+	"github.com/evfed/evfed/internal/attack"
+	"github.com/evfed/evfed/internal/autoencoder"
+	"github.com/evfed/evfed/internal/dataset"
+	"github.com/evfed/evfed/internal/eval"
+	"github.com/evfed/evfed/internal/metrics"
+	"github.com/evfed/evfed/internal/rng"
 	"github.com/evfed/evfed/internal/scale"
 	"github.com/evfed/evfed/internal/series"
 )
@@ -25,18 +31,20 @@ func run() error {
 	const hours = 2200
 
 	// 1. Clean data for zone 102, then a DDoS campaign on top of it.
-	s, err := evfed.GenerateZone(evfed.Zone102(), hours, 11)
+	gen, err := dataset.Generate(dataset.Config{Profile: dataset.Profile102(), Hours: hours, Seed: 11})
 	if err != nil {
 		return err
 	}
-	episodes, err := evfed.ScheduleAttacks(hours, 11)
+	s := gen.Series
+	episodes, err := attack.Schedule(attack.DefaultSchedule(), hours, 0, rng.New(11))
 	if err != nil {
 		return err
 	}
-	attacked, labels, err := evfed.InjectDDoS(s.Values, episodes, 11)
+	injected, err := attack.InjectDDoS(s.Values, episodes, attack.DefaultTraffic(), rng.New(11))
 	if err != nil {
 		return err
 	}
+	attacked, labels := injected.Values, injected.Labels
 	nAttacked := 0
 	for _, l := range labels {
 		if l {
@@ -56,16 +64,16 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	detCfg := evfed.DetectorConfig{
+	detCfg := autoencoder.Config{
 		SeqLen: 24, EncoderUnits: 12, Bottleneck: 6, Dropout: 0.2,
 		Epochs: 8, BatchSize: 32, LearningRate: 0.001,
 		Patience: 10, ValFrac: 0.1, TrainStride: 3, Seed: 11,
 	}
-	filtCfg := evfed.FilterConfig{
+	filtCfg := anomaly.Config{
 		ThresholdPercentile: 98, MaxGap: 2, MinRunLen: 2,
 		Mitigation: 1, // linear interpolation
 	}
-	filter, err := evfed.TrainFilter(scaledTrain, detCfg, filtCfg)
+	filter, _, err := eval.TrainFilter(scaledTrain, detCfg, filtCfg)
 	if err != nil {
 		return err
 	}
@@ -84,10 +92,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	det, err := evfed.EvalDetection(labels, res.Flags)
+	conf, err := metrics.EvalDetection(labels, res.Flags)
 	if err != nil {
 		return err
 	}
+	det := metrics.Summarize(conf)
 	fmt.Printf("detection: precision %.3f  recall %.3f  F1 %.3f  FPR %.2f%%\n",
 		det.Precision, det.Recall, det.F1, 100*det.FPR)
 	fmt.Printf("mitigated %d anomalous segments\n", len(res.Runs))

@@ -10,7 +10,9 @@ import (
 	"fmt"
 	"log"
 
-	"github.com/evfed/evfed"
+	"github.com/evfed/evfed/internal/dataset"
+	"github.com/evfed/evfed/internal/fed"
+	"github.com/evfed/evfed/internal/nn"
 	"github.com/evfed/evfed/internal/scale"
 	"github.com/evfed/evfed/internal/series"
 )
@@ -28,17 +30,19 @@ func run() error {
 		lstmUnits   = 12
 		denseHidden = 6
 	)
-	profiles := []evfed.ZoneProfile{evfed.Zone102(), evfed.Zone105(), evfed.Zone108()}
+	spec := nn.ForecasterSpec(lstmUnits, denseHidden)
+	profiles := []dataset.ZoneProfile{dataset.Profile102(), dataset.Profile105(), dataset.Profile108()}
 
 	// Start one TCP server per station (in production each of these runs
 	// on the station's own hardware — the raw series below never leaves
 	// this process boundary).
-	var handles []evfed.ClientHandle
+	var handles []fed.ClientHandle
 	for i, prof := range profiles {
-		s, err := evfed.GenerateZone(prof, hours, 23)
+		gen, err := dataset.Generate(dataset.Config{Profile: prof, Hours: hours, Seed: 23})
 		if err != nil {
 			return err
 		}
+		s := gen.Series
 		train, _, err := series.SplitValues(s.Values, 0.8)
 		if err != nil {
 			return err
@@ -48,23 +52,23 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		client, err := evfed.NewFederatedClient("station-"+prof.Zone, scaledTrain, seqLen, lstmUnits, denseHidden, uint64(i+31))
+		client, err := fed.NewClient("station-"+prof.Zone, spec, scaledTrain, seqLen, uint64(i+31))
 		if err != nil {
 			return err
 		}
-		srv, err := evfed.ServeFederatedClient(client, "127.0.0.1:0")
+		srv, err := fed.ServeClient(client, "127.0.0.1:0")
 		if err != nil {
 			return err
 		}
 		defer srv.Stop()
 		fmt.Printf("station %s serving on %s (%d private training windows)\n",
 			prof.Zone, srv.Addr(), mustSamples(client))
-		handles = append(handles, evfed.NewRemoteClient(client.ID(), srv.Addr()))
+		handles = append(handles, fed.NewRemoteClient(client.ID(), srv.Addr()))
 	}
 
 	// The coordinator never touches raw data: it ships weight vectors to
 	// the stations and averages what comes back.
-	cfg := evfed.FederatedConfig{
+	cfg := fed.Config{
 		Rounds:         2,
 		EpochsPerRound: 3,
 		BatchSize:      32,
@@ -72,7 +76,11 @@ func run() error {
 		Seed:           23,
 		Parallel:       true,
 	}
-	res, err := evfed.RunFederation(handles, lstmUnits, denseHidden, cfg)
+	co, err := fed.NewCoordinator(spec, handles, cfg)
+	if err != nil {
+		return err
+	}
+	res, err := co.Run()
 	if err != nil {
 		return err
 	}
@@ -85,7 +93,7 @@ func run() error {
 	return nil
 }
 
-func mustSamples(c *evfed.FederatedClient) int {
+func mustSamples(c *fed.Client) int {
 	n, err := c.NumSamples()
 	if err != nil {
 		return -1

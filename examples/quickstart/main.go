@@ -8,7 +8,10 @@ import (
 	"fmt"
 	"log"
 
-	"github.com/evfed/evfed"
+	"github.com/evfed/evfed/internal/dataset"
+	"github.com/evfed/evfed/internal/fed"
+	"github.com/evfed/evfed/internal/metrics"
+	"github.com/evfed/evfed/internal/nn"
 	"github.com/evfed/evfed/internal/scale"
 	"github.com/evfed/evfed/internal/series"
 )
@@ -28,8 +31,9 @@ func run() error {
 	)
 
 	// 1. Synthesize three stations' hourly charging volumes.
-	profiles := []evfed.ZoneProfile{evfed.Zone102(), evfed.Zone105(), evfed.Zone108()}
-	var handles []evfed.ClientHandle
+	spec := nn.ForecasterSpec(lstmUnits, denseHidden)
+	profiles := []dataset.ZoneProfile{dataset.Profile102(), dataset.Profile105(), dataset.Profile108()}
+	var handles []fed.ClientHandle
 	type evalSet struct {
 		scaler  scale.MinMaxScaler
 		windows []series.Window
@@ -38,10 +42,11 @@ func run() error {
 	evals := make([]*evalSet, 0, len(profiles))
 
 	for i, prof := range profiles {
-		s, err := evfed.GenerateZone(prof, hours, 7)
+		gen, err := dataset.Generate(dataset.Config{Profile: prof, Hours: hours, Seed: 7})
 		if err != nil {
 			return err
 		}
+		s := gen.Series
 		// 2. Per-station MinMax scaling fitted on the 80% training split.
 		train, test, err := series.SplitValues(s.Values, 0.8)
 		if err != nil {
@@ -64,7 +69,7 @@ func run() error {
 		es.truth = test
 
 		// 3. A federated client per station: raw data stays here.
-		c, err := evfed.NewFederatedClient(prof.Zone, scaledTrain, seqLen, lstmUnits, denseHidden, uint64(i+1))
+		c, err := fed.NewClient(prof.Zone, spec, scaledTrain, seqLen, uint64(i+1))
 		if err != nil {
 			return err
 		}
@@ -73,7 +78,7 @@ func run() error {
 	}
 
 	// 4. Federated training: only model weights cross station boundaries.
-	cfg := evfed.FederatedConfig{
+	cfg := fed.Config{
 		Rounds:         3,
 		EpochsPerRound: 4,
 		BatchSize:      32,
@@ -81,7 +86,11 @@ func run() error {
 		Seed:           7,
 		Parallel:       true,
 	}
-	res, err := evfed.RunFederation(handles, lstmUnits, denseHidden, cfg)
+	co, err := fed.NewCoordinator(spec, handles, cfg)
+	if err != nil {
+		return err
+	}
+	res, err := co.Run()
 	if err != nil {
 		return err
 	}
@@ -90,7 +99,7 @@ func run() error {
 	// 5. Evaluate each station's locally specialized model on its own
 	//    held-out data.
 	for i, h := range handles {
-		client, ok := h.(*evfed.FederatedClient)
+		client, ok := h.(*fed.Client)
 		if !ok {
 			return fmt.Errorf("unexpected handle type %T", h)
 		}
@@ -104,7 +113,7 @@ func run() error {
 			}
 			preds[k] = p
 		}
-		reg, err := evfed.EvalForecast(es.truth, preds)
+		reg, err := metrics.EvalRegression(es.truth, preds)
 		if err != nil {
 			return err
 		}

@@ -10,7 +10,12 @@ import (
 	"fmt"
 	"log"
 
-	"github.com/evfed/evfed"
+	"github.com/evfed/evfed/internal/anomaly"
+	"github.com/evfed/evfed/internal/attack"
+	"github.com/evfed/evfed/internal/autoencoder"
+	"github.com/evfed/evfed/internal/dataset"
+	"github.com/evfed/evfed/internal/eval"
+	"github.com/evfed/evfed/internal/rng"
 	"github.com/evfed/evfed/internal/scale"
 	"github.com/evfed/evfed/internal/series"
 )
@@ -25,11 +30,11 @@ func run() error {
 	const historyHours = 2200
 
 	// 1. Historical clean data trains and calibrates the detector offline.
-	s, err := evfed.GenerateZone(evfed.Zone105(), historyHours, 17)
+	history, err := dataset.Generate(dataset.Config{Profile: dataset.Profile105(), Hours: historyHours, Seed: 17})
 	if err != nil {
 		return err
 	}
-	train, _, err := series.SplitValues(s.Values, 0.8)
+	train, _, err := series.SplitValues(history.Series.Values, 0.8)
 	if err != nil {
 		return err
 	}
@@ -38,13 +43,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	detCfg := evfed.DetectorConfig{
+	detCfg := autoencoder.Config{
 		SeqLen: 24, EncoderUnits: 12, Bottleneck: 6, Dropout: 0.2,
 		Epochs: 8, BatchSize: 32, LearningRate: 0.001,
 		Patience: 10, ValFrac: 0.1, TrainStride: 3, Seed: 17,
 	}
-	filtCfg := evfed.FilterConfig{ThresholdPercentile: 98, MaxGap: 2, MinRunLen: 2, Mitigation: 1}
-	filter, err := evfed.TrainFilter(scaledTrain, detCfg, filtCfg)
+	filtCfg := anomaly.Config{ThresholdPercentile: 98, MaxGap: 2, MinRunLen: 2, Mitigation: 1}
+	filter, det, err := eval.TrainFilter(scaledTrain, detCfg, filtCfg)
 	if err != nil {
 		return err
 	}
@@ -55,22 +60,23 @@ func run() error {
 	fmt.Printf("offline calibration done (threshold %.6g)\n", thr)
 
 	// 2. A "live" feed: fresh data with a DDoS burst in the middle.
-	live, err := evfed.GenerateZone(evfed.Zone105(), 400, 18)
+	live, err := dataset.Generate(dataset.Config{Profile: dataset.Profile105(), Hours: 400, Seed: 18})
 	if err != nil {
 		return err
 	}
-	episodes := []evfed.AttackEpisode{{Start: 200, Length: 12, Severity: 0.3}}
-	attacked, labels, err := evfed.InjectDDoS(live.Values, episodes, 18)
+	episodes := []attack.Episode{{Start: 200, Length: 12, Severity: 0.3}}
+	injected, err := attack.InjectDDoS(live.Series.Values, episodes, attack.DefaultTraffic(), rng.New(18))
 	if err != nil {
 		return err
 	}
-	scaledLive, err := sc.Transform(attacked)
+	labels := injected.Labels
+	scaledLive, err := sc.Transform(injected.Values)
 	if err != nil {
 		return err
 	}
 
 	// 3. Stream it through the online detector.
-	stream, err := filter.NewStream()
+	stream, err := anomaly.NewStream(det.NewStreamScorer(), thr)
 	if err != nil {
 		return err
 	}

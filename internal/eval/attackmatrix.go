@@ -309,20 +309,8 @@ func amDetector(clean []float64, p AttackMatrixParams) (*scale.MinMaxScaler, *an
 	// enough to their 5% ceiling that a host-core default would make the
 	// verdicts measure the machine, not the defence.
 	aeCfg.Workers = 1
-	det, _, err := autoencoder.Train(scaledTrain, aeCfg)
+	filter, _, err := TrainFilter(scaledTrain, aeCfg, anomaly.DefaultConfig())
 	if err != nil {
-		return nil, nil, err
-	}
-	filter, err := anomaly.NewFilter(autoencoder.Adapter{Detector: det}, anomaly.DefaultConfig())
-	if err != nil {
-		return nil, nil, err
-	}
-	// Calibrate on the held-out training tail (see Params.CalibFrac).
-	calib := scaledTrain
-	if cut := int(float64(len(scaledTrain)) * 0.9); cut-seqLen > 0 {
-		calib = scaledTrain[cut-seqLen:]
-	}
-	if err := filter.Calibrate(calib); err != nil {
 		return nil, nil, err
 	}
 	return &sc, filter, nil

@@ -596,24 +596,3 @@ func RunChaosRecovery(params ChaosParams) ([]ChaosRecoveryPoint, error) {
 	out = append(out, pt)
 	return out, nil
 }
-
-// FormatChaosRecovery renders the fault matrix as a table.
-func FormatChaosRecovery(points []ChaosRecoveryPoint) string {
-	out := "Chaos recovery: injected faults and crash-resume vs fault-free controls\n"
-	out += fmt.Sprintf("%-18s %-7s %6s %7s %8s %7s %9s %11s %7s %s\n",
-		"Scenario", "Tier", "Ckpt/N", "Rounds", "Dropped", "Faults", "Wall(s)", "Max |diff|", "Warmup", "OK")
-	for _, pt := range points {
-		every := "-"
-		if pt.CheckpointEvery > 0 {
-			every = fmt.Sprintf("%d", pt.CheckpointEvery)
-		}
-		ok := "PASS"
-		if !pt.WithinTolerance {
-			ok = "FAIL"
-		}
-		out += fmt.Sprintf("%-18s %-7s %6s %7d %8d %7d %9.3f %11.2e %7d %s\n",
-			pt.Scenario, pt.Topology, every, pt.Rounds, pt.Dropped, pt.Faults,
-			pt.WallSeconds, pt.MaxAbsDiff, pt.VerdictWarmupLoss, ok)
-	}
-	return out
-}

@@ -86,14 +86,6 @@ type Params struct {
 	// repository reports alongside the paper protocol.
 	EvalAgainstClean bool
 
-	// CalibFrac is the trailing fraction of the (clean) training split on
-	// which the detection threshold is calibrated. The autoencoder's early
-	// stopping already holds this tail out of gradient updates, so scores
-	// there estimate the generalization error distribution — calibrating
-	// on data the autoencoder memorized would place the 98th-percentile
-	// threshold too low and inflate the false-positive rate.
-	CalibFrac float64
-
 	// AE configures the anomaly detector (autoencoder hyperparameters).
 	AE autoencoder.Config
 	// Filter configures thresholding and mitigation.
@@ -110,7 +102,6 @@ func PaperParams(seed uint64) Params {
 		Hours:     dataset.StudyHours,
 		Seed:      seed,
 		TrainFrac: 0.8,
-		CalibFrac: 0.1,
 		SeqLen:    24, LSTMUnits: 50, DenseHidden: 10,
 		Rounds: 5, EpochsPerRound: 10,
 		BatchSize: 32, LearningRate: 0.001,
@@ -145,8 +136,6 @@ func (p Params) validate() error {
 		return fmt.Errorf("%w: hours %d too small for seqLen %d", ErrBadParams, p.Hours, p.SeqLen)
 	case p.TrainFrac <= 0 || p.TrainFrac >= 1:
 		return fmt.Errorf("%w: train fraction %v", ErrBadParams, p.TrainFrac)
-	case p.CalibFrac < 0 || p.CalibFrac >= 1:
-		return fmt.Errorf("%w: calibration fraction %v", ErrBadParams, p.CalibFrac)
 	case p.SeqLen <= 0 || p.LSTMUnits <= 0 || p.DenseHidden <= 0:
 		return fmt.Errorf("%w: model dims %d/%d/%d", ErrBadParams, p.SeqLen, p.LSTMUnits, p.DenseHidden)
 	case p.Rounds <= 0 || p.EpochsPerRound <= 0 || p.BatchSize <= 0 || p.LearningRate <= 0:
@@ -176,6 +165,38 @@ type ClientPrep struct {
 	Detection metrics.Detection
 	// Threshold is the calibrated reconstruction-error threshold.
 	Threshold float64
+}
+
+// calibTailFrac is the trailing fraction of a detector's (clean) training
+// split on which its threshold is calibrated. The autoencoder's early
+// stopping already holds this tail out of gradient updates, so scores
+// there estimate the generalization error distribution — calibrating on
+// data the autoencoder memorized would place the 98th-percentile
+// threshold too low and inflate the false-positive rate.
+const calibTailFrac = 0.1
+
+// TrainFilter is the paper's per-client detector build: it trains the
+// LSTM autoencoder on train (scaled to [0, 1], assumed attack-free) and
+// calibrates the filter's percentile threshold on the trailing
+// calibTailFrac of train, keeping SeqLen points of leading context so the
+// tail's first points sit in full reconstruction windows.
+func TrainFilter(train []float64, aeCfg autoencoder.Config, filtCfg anomaly.Config) (*anomaly.Filter, *autoencoder.Detector, error) {
+	det, _, err := autoencoder.Train(train, aeCfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	filter, err := anomaly.NewFilter(autoencoder.Adapter{Detector: det}, filtCfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	calib := train
+	if ctx := int(float64(len(train))*(1-calibTailFrac)) - aeCfg.SeqLen; ctx > 0 {
+		calib = train[ctx:]
+	}
+	if err := filter.Calibrate(calib); err != nil {
+		return nil, nil, err
+	}
+	return filter, det, nil
 }
 
 // Prepare generates the three study clients, injects DDoS attacks, trains
@@ -223,26 +244,9 @@ func Prepare(p Params) ([]*ClientPrep, error) {
 		aeCfg.SeqLen = p.SeqLen
 		aeCfg.Seed = p.Seed + uint64(ci)*7919
 		aeCfg.Workers = p.Workers
-		det, _, err := autoencoder.Train(scaledTrain, aeCfg)
+		filter, _, err := TrainFilter(scaledTrain, aeCfg, p.Filter)
 		if err != nil {
-			return nil, fmt.Errorf("eval: train detector for client %d: %w", ci+1, err)
-		}
-		filter, err := anomaly.NewFilter(autoencoder.Adapter{Detector: det}, p.Filter)
-		if err != nil {
-			return nil, fmt.Errorf("eval: build filter for client %d: %w", ci+1, err)
-		}
-		// Threshold calibration on the held-out tail of the training split
-		// (see CalibFrac). A little leading context is kept so the tail's
-		// first points still sit inside full reconstruction windows.
-		calib := scaledTrain
-		if p.CalibFrac > 0 {
-			cut := int(float64(len(scaledTrain)) * (1 - p.CalibFrac))
-			if ctx := cut - p.SeqLen; ctx > 0 {
-				calib = scaledTrain[ctx:]
-			}
-		}
-		if err := filter.Calibrate(calib); err != nil {
-			return nil, fmt.Errorf("eval: calibrate filter for client %d: %w", ci+1, err)
+			return nil, fmt.Errorf("eval: detector for client %d: %w", ci+1, err)
 		}
 
 		// Detect + mitigate on the attacked series (same scaling frame).

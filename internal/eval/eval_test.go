@@ -25,6 +25,21 @@ func TestParamsValidation(t *testing.T) {
 	}
 }
 
+// TestQuickExperimentConfig sanity-checks the exported configurations.
+func TestQuickExperimentConfig(t *testing.T) {
+	q := QuickParams(1)
+	p := PaperParams(1)
+	if q.Hours >= p.Hours {
+		t.Fatalf("quick config (%d h) should be smaller than paper config (%d h)", q.Hours, p.Hours)
+	}
+	if p.SeqLen != 24 || p.LSTMUnits != 50 || p.Rounds != 5 || p.EpochsPerRound != 10 {
+		t.Fatalf("paper config drifted from the paper: %+v", p)
+	}
+	if p.Filter.ThresholdPercentile != 98 || p.Filter.MaxGap != 2 {
+		t.Fatalf("paper filter config drifted: %+v", p.Filter)
+	}
+}
+
 // TestPipelineEndToEnd runs the complete miniature experiment and checks
 // the paper's qualitative findings hold:
 //
