@@ -24,14 +24,20 @@ type detectorFile struct {
 // receives freshly federated weights and constructs a complete
 // copy-on-write detector around them without touching the one currently
 // scoring traffic. The weights are copied, so the caller may reuse its
-// buffer.
+// buffer. The weight count is checked against the configuration's
+// architecture before anything is built, so a configuration naming a huge
+// model costs nothing unless the weights to fill it are really there; a
+// mismatch is an error wrapping nn.ErrShape.
 func FromWeights(cfg Config, weights []float64) (*Detector, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	model, err := nn.Build(nn.AutoencoderSpec(
-		cfg.SeqLen, cfg.EncoderUnits, cfg.Bottleneck, cfg.Dropout,
-	), cfg.Seed)
+	spec := nn.AutoencoderSpec(cfg.SeqLen, cfg.EncoderUnits, cfg.Bottleneck, cfg.Dropout)
+	if n, ok := spec.NumParams(); !ok || n != len(weights) {
+		return nil, fmt.Errorf("%w: %d weights for a %d/%d-unit autoencoder",
+			nn.ErrShape, len(weights), cfg.EncoderUnits, cfg.Bottleneck)
+	}
+	model, err := nn.Build(spec, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("autoencoder: rebuild model: %w", err)
 	}

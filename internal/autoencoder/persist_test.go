@@ -2,9 +2,13 @@ package autoencoder
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
+
+	"github.com/evfed/evfed/internal/nn"
 )
 
 func TestDetectorSaveLoadRoundTrip(t *testing.T) {
@@ -68,5 +72,36 @@ func TestLoadTruncated(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()/2]
 	if _, err := Load(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated input should error")
+	}
+}
+
+// hugeModelFile is a well-formed detector frame whose configuration names
+// a 20,000-unit encoder — a 12.8 GB recurrent kernel — while carrying
+// three weights.
+func hugeModelFile(t testing.TB) []byte {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.EncoderUnits = 20000
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(detectorFile{Config: cfg, Weights: []float64{1, 2, 3}, Threshold: 1}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadChecksWeightCountBeforeBuild: the weight count is checked
+// against the configuration's architecture before the model is built, so
+// a small file cannot make the loader allocate the model it names.
+func TestLoadChecksWeightCountBeforeBuild(t *testing.T) {
+	file := hugeModelFile(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := LoadCalibrated(bytes.NewReader(file))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, nn.ErrShape) {
+		t.Fatalf("%d-byte file naming a 20,000-unit encoder: want nn.ErrShape, got %v", len(file), err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("rejecting a %d-byte file allocated %d bytes", len(file), got)
 	}
 }

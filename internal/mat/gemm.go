@@ -14,22 +14,32 @@ import "fmt"
 //	MulAdd   dst += a · b    input grads:   dZ[B×out] · W[out×in] → [B×in]
 //	MulATAdd dst += aᵀ · b   weight grads:  dZ[B×out]ᵀ · X[B×in] → [out×in]
 //
-// All kernels are register-blocked: MulTAdd computes a 4×2 block of dot
-// products per pass (four a-rows against two b-rows, 4-wide unrolled over
-// the shared depth), and MulAdd/MulATAdd accumulate two destination rows
-// from four source rows per sweep (axpy2x4). The b-panel loops are blocked
-// so the streamed panel stays L1-resident across the destination rows.
-// Like the matvec kernels, the blocked accumulation order differs from a
-// naive triple loop only in floating-point association; every run of the
-// same binary remains bit-for-bit deterministic.
+// The scalar kernels are register-blocked: MulTAdd computes a 4×2 block
+// of dot products per pass (four a-rows against two b-rows, 2-wide
+// unrolled over the shared depth), and MulAdd/MulATAdd accumulate two
+// destination rows from four source rows per sweep (axpy2x4). The
+// b-panel loops are blocked so the streamed panel stays L1-resident
+// across the destination rows. On the AVX2+FMA path each row block is
+// one assembly call: a dot panel (dotPanel) computes a 4-row block of
+// a·bᵀ across its whole column panel, and a register tile (gradTile)
+// holds a 4×8, 4×4 or 4×1 block of dst (2 rows for a leftover pair) in
+// registers across every source row of MulATAdd, or of a mulAddPanel
+// depth panel, so dst is read and written once instead of once per four
+// source rows. Neither changes any output element's operations: the same
+// FMA chain in the same order, the same dot lane layout and reduction,
+// and the same unfused Go remainders (axpy2x2, outerPair, AddOuter, the
+// odd row's axpyPair) at the same panel positions — so results are the
+// bits the per-block kernels produced. The blocked accumulation order
+// differs from a naive triple loop only in floating-point association;
+// every run of the same binary remains bit-for-bit deterministic.
 //
 // Row invariance: in MulTAdd and MulTBias every dot a_i · b_j is
-// associated the same way whether the 4×2 block, the 4×1 kernel or the
-// single-dot tail computes it (dot4x2, dot4x1 and dot1x1 share one
-// association; fmaDot4x2, fmaDot4x1 and fmaDot1x1 share one lane
-// layout). Row i of the result therefore depends on row i of a alone,
-// never on how many rows a has or where row i sits among them — which is
-// what makes a window's score independent of the wave it is scored in.
+// associated the same way whichever kernel computes it (dot4x2, dot4x1
+// and dot1x1 share one association; the dot panel, fmaDot4x1 and
+// fmaDot1x1 share one lane layout). Row i of the result therefore
+// depends on row i of a alone, never on how many rows a has or where
+// row i sits among them — which is what makes a window's score
+// independent of the wave it is scored in.
 //
 // Aliasing rules: dst must not alias a or b in any kernel. Shape
 // mismatches panic, mirroring the matvec kernels.
@@ -201,20 +211,19 @@ func (dst *Matrix) mulTAddPanel(a, b *Matrix, j0, j1 int) {
 		d1 := dst.Row(i + 1)
 		d2 := dst.Row(i + 2)
 		d3 := dst.Row(i + 3)
-		var s [8]float64
-		j := j0
+		dij := dst.Data[i*dst.Cols+j0:]
+		j := j0 + dotPanel(a.Data[i*k:], b.Data[j0*k:], k, j1-j0, dij, dst.Cols, dij, dst.Cols)
 		for ; j+1 < j1; j += 2 {
-			b0 := b.Data[j*k : j*k+k]
-			b1 := b.Data[(j+1)*k : (j+1)*k+k]
-			dotBlock4x2(a0, a1, a2, a3, b0, b1, &s)
-			d0[j] += s[0]
-			d0[j+1] += s[1]
-			d1[j] += s[2]
-			d1[j+1] += s[3]
-			d2[j] += s[4]
-			d2[j+1] += s[5]
-			d3[j] += s[6]
-			d3[j+1] += s[7]
+			s00, s01, s10, s11, s20, s21, s30, s31 := dot4x2(a0, a1, a2, a3,
+				b.Data[j*k:j*k+k], b.Data[(j+1)*k:(j+1)*k+k])
+			d0[j] += s00
+			d0[j+1] += s01
+			d1[j] += s10
+			d1[j+1] += s11
+			d2[j] += s20
+			d2[j+1] += s21
+			d3[j] += s30
+			d3[j+1] += s31
 		}
 		if j < j1 {
 			bj := b.Data[j*k : j*k+k]
@@ -275,6 +284,9 @@ func (dst *Matrix) MulTBias(a, b *Matrix, bias []float64) {
 		return
 	}
 	if k == 1 {
+		if biasOuter(dst.Data, a.Data, b.Data, bias) {
+			return
+		}
 		for i := 0; i < a.Rows; i++ {
 			ai := a.Data[i]
 			di := dst.Row(i)
@@ -310,20 +322,18 @@ func (dst *Matrix) mulTBiasPanel(a, b *Matrix, bias []float64, j0, j1 int) {
 		d1 := dst.Row(i + 1)
 		d2 := dst.Row(i + 2)
 		d3 := dst.Row(i + 3)
-		var s [8]float64
-		j := j0
+		j := j0 + dotPanel(a.Data[i*k:], b.Data[j0*k:], k, j1-j0, dst.Data[i*dst.Cols+j0:], dst.Cols, bias[j0:], 0)
 		for ; j+1 < j1; j += 2 {
-			b0 := b.Data[j*k : j*k+k]
-			b1 := b.Data[(j+1)*k : (j+1)*k+k]
-			dotBlock4x2(a0, a1, a2, a3, b0, b1, &s)
-			d0[j] = bias[j] + s[0]
-			d0[j+1] = bias[j+1] + s[1]
-			d1[j] = bias[j] + s[2]
-			d1[j+1] = bias[j+1] + s[3]
-			d2[j] = bias[j] + s[4]
-			d2[j+1] = bias[j+1] + s[5]
-			d3[j] = bias[j] + s[6]
-			d3[j+1] = bias[j+1] + s[7]
+			s00, s01, s10, s11, s20, s21, s30, s31 := dot4x2(a0, a1, a2, a3,
+				b.Data[j*k:j*k+k], b.Data[(j+1)*k:(j+1)*k+k])
+			d0[j] = bias[j] + s00
+			d0[j+1] = bias[j+1] + s01
+			d1[j] = bias[j] + s10
+			d1[j+1] = bias[j+1] + s11
+			d2[j] = bias[j] + s20
+			d2[j+1] = bias[j+1] + s21
+			d3[j] = bias[j] + s30
+			d3[j+1] = bias[j+1] + s31
 		}
 		if j < j1 {
 			bj := b.Data[j*k : j*k+k]
@@ -387,20 +397,25 @@ func (dst *Matrix) MulAdd(a, b *Matrix) {
 	}
 }
 
-// mulAddPanel accumulates dst += a[:, k0:k1] · b[k0:k1, :].
+// mulAddPanel accumulates dst += a[:, k0:k1] · b[k0:k1, :]. The register
+// tiles take the panel's 4-row source groups for every row pair; the 2-
+// and 1-row remainders and the odd destination row stay in Go.
 func (dst *Matrix) mulAddPanel(a, b *Matrix, k0, k1 int) {
+	n4 := (k1 - k0) &^ 3
+	tiled := gradTile(dst.Data, dst.Rows, dst.Cols, a.Data[k0:], a.Cols, 1, b.Data[k0*b.Cols:], n4)
 	i := 0
 	for ; i+1 < dst.Rows; i += 2 {
 		r0 := a.Row(i)
 		r1 := a.Row(i + 1)
 		d0 := dst.Row(i)
 		d1 := dst.Row(i + 1)
-		var c [8]float64
 		k := k0
+		if i < tiled {
+			k += n4
+		}
 		for ; k+3 < k1; k += 4 {
-			c[0], c[1], c[2], c[3] = r0[k], r0[k+1], r0[k+2], r0[k+3]
-			c[4], c[5], c[6], c[7] = r1[k], r1[k+1], r1[k+2], r1[k+3]
-			axpyBlock2x4(&c, d0, d1, b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3))
+			axpy2x4(r0[k], r0[k+1], r0[k+2], r0[k+3], r1[k], r1[k+1], r1[k+2], r1[k+3],
+				d0, d1, b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3))
 		}
 		for ; k+1 < k1; k += 2 {
 			axpy2x2(r0[k], r0[k+1], r1[k], r1[k+1], d0, d1, b.Row(k), b.Row(k+1))
@@ -430,8 +445,10 @@ func (dst *Matrix) Mul(a, b *Matrix) {
 
 // MulATAdd accumulates dst += aᵀ · b where dst is M×N, a is K×M and b is
 // K×N — the batched weight-gradient product (dZᵀ·X summed over the batch
-// rows K). Equivalent to K rank-1 updates, but each pass streams dst once
-// for four batch rows instead of once per row. dst must not alias a or b.
+// rows K). Equivalent to K rank-1 updates: on the vector path the
+// register tiles hold each block of dst in registers across the first
+// K &^ 3 rows, so dst is read and written once per call; the scalar path
+// streams it once per four rows. dst must not alias a or b.
 func (dst *Matrix) MulATAdd(a, b *Matrix) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulATAdd shape mismatch: %dx%d += (%dx%d)ᵀ · %dx%d",
@@ -446,16 +463,16 @@ func (dst *Matrix) MulATAdd(a, b *Matrix) {
 		a.MulVecTAdd(dst.Data, b.Data)
 		return
 	}
+	k4 := a.Rows &^ 3
+	tiled := gradTile(dst.Data, dst.Rows, dst.Cols, a.Data, 1, a.Cols, b.Data, k4)
 	k := 0
-	var c [8]float64
-	for ; k+3 < a.Rows; k += 4 {
+	for ; k < k4; k += 4 {
 		a0, a1, a2, a3 := a.Row(k), a.Row(k+1), a.Row(k+2), a.Row(k+3)
 		b0, b1, b2, b3 := b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3)
-		i := 0
+		i := tiled
 		for ; i+1 < dst.Rows; i += 2 {
-			c[0], c[1], c[2], c[3] = a0[i], a1[i], a2[i], a3[i]
-			c[4], c[5], c[6], c[7] = a0[i+1], a1[i+1], a2[i+1], a3[i+1]
-			axpyBlock2x4(&c, dst.Row(i), dst.Row(i+1), b0, b1, b2, b3)
+			axpy2x4(a0[i], a1[i], a2[i], a3[i], a0[i+1], a1[i+1], a2[i+1], a3[i+1],
+				dst.Row(i), dst.Row(i+1), b0, b1, b2, b3)
 		}
 		if i < dst.Rows {
 			di := dst.Row(i)

@@ -7,11 +7,11 @@ import (
 	"os"
 )
 
-// The batched GEMM kernels carry an optional AVX2+FMA fast path: the same
-// 4-row × 2-column, 4-row × 1-column and 2-row × 4-source register
-// blockings as the scalar micro-kernels (the 4×1 one also serves every
-// matvec), with each accumulator chain widened to the four f64 lanes
-// of a ymm register. The fast path is enabled only when CPUID reports
+// The batched GEMM kernels carry an optional AVX2+FMA fast path: dot
+// panels (one call per 4-row block of a·bᵀ, every dot a 4-lane FMA
+// chain), the 4×1 dot kernel behind every matvec, and register tiles for
+// the gradient GEMMs (a dst block held in ymm registers across every
+// source row of a call). The fast path is enabled only when CPUID reports
 // AVX2, FMA and OS ymm-state support; every other configuration (and the
 // EVFED_PURE_GO=1 escape hatch, used by the parity tests) runs the
 // portable scalar kernels. Within one binary on one machine both paths
@@ -23,13 +23,19 @@ func cpuidRaw(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
 //go:noescape
-func fmaDot4x2(a0, a1, a2, a3, b0, b1 *float64, n int, out *[8]float64)
+func fmaDotPanel(a, b *float64, k, npairs int, d *float64, ldd int, base *float64, ldbase int)
 
 //go:noescape
 func fmaDot4x1(r0, r1, r2, r3, x *float64, n int, out *[4]float64)
 
 //go:noescape
-func fmaAxpy2x4(c *[8]float64, d0, d1, s0, s1, s2, s3 *float64, n int)
+func fmaTile4(d, a *float64, lai, lak int, b *float64, n, k int)
+
+//go:noescape
+func fmaTile2(d, a *float64, lai, lak int, b *float64, n, k int)
+
+//go:noescape
+func vecBiasOuter(d, a *float64, rows int, b, bias *float64, n int)
 
 //go:noescape
 func fmaSigmoidPanel(v *float64, n int)
@@ -122,13 +128,19 @@ func detectFMA() bool {
 	return ebx7&avx2Bit != 0
 }
 
-// dotBlock4x2 dispatches one 4×2 dot block to the FMA or scalar kernel.
-func dotBlock4x2(a0, a1, a2, a3, b0, b1 []float64, out *[8]float64) {
-	if fmaEnabled {
-		fmaDot4x2(&a0[0], &a1[0], &a2[0], &a3[0], &b0[0], &b1[0], len(b0), out)
-		return
+// dotPanel writes the column pairs of one 4-row block of a·bᵀ with a
+// single fmaDotPanel call: a holds the block's four rows (k wide), b the
+// panel's rows from its first one on, and
+// d[r*ldd + j] = base[r*ldbase + j] + a_r · b_j. It returns the number
+// of columns written, the largest even count ≤ ncols, or 0 when the
+// vector path is off.
+func dotPanel(a, b []float64, k, ncols int, d []float64, ldd int, base []float64, ldbase int) int {
+	np := ncols / 2
+	if !fmaEnabled || np == 0 {
+		return 0
 	}
-	out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7] = dot4x2(a0, a1, a2, a3, b0, b1)
+	fmaDotPanel(&a[0], &b[0], k, np, &d[0], ldd, &base[0], ldbase)
+	return 2 * np
 }
 
 // dotQuad computes four row dot products against a shared x: the FMA
@@ -153,7 +165,7 @@ func dotOne(a, x []float64) float64 {
 	return dot1x1(a, x)
 }
 
-// fmaDot1x1 is one dot in the lane layout of fmaDot4x2/fmaDot4x1: lane l
+// fmaDot1x1 is one dot in the lane layout of fmaDotPanel/fmaDot4x1: lane l
 // fuses the products at k ≡ l (mod 4), the lanes reduce as
 // (l0+l2)+(l1+l3), and the n % 4 tail is fused into the reduced sum.
 // math.FMA rounds exactly as VFMADD does, so the result is bit-equal.
@@ -175,11 +187,32 @@ func fmaDot1x1(a, x []float64) float64 {
 	return s
 }
 
-// axpyBlock2x4 dispatches one 2×4 axpy block to the FMA or scalar kernel.
-func axpyBlock2x4(c *[8]float64, d0, d1, s0, s1, s2, s3 []float64) {
-	if fmaEnabled {
-		fmaAxpy2x4(c, &d0[0], &d1[0], &s0[0], &s1[0], &s2[0], &s3[0], len(d0))
-		return
+// gradTile accumulates d[i*n + j] += Σ_kk a[i*lai + kk*lak] · b[kk*n + j]
+// over kk < k with the register-tile kernels, one fused multiply-add per
+// term in kk order, for the rows i < rows &^ 1. It returns the number of
+// rows it covered, or 0 when the vector path is off or k is 0.
+func gradTile(d []float64, rows, n int, a []float64, lai, lak int, b []float64, k int) int {
+	if !fmaEnabled || k == 0 {
+		return 0
 	}
-	axpy2x4(c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7], d0, d1, s0, s1, s2, s3)
+	i := 0
+	for ; i+3 < rows; i += 4 {
+		fmaTile4(&d[i*n], &a[i*lai], lai, lak, &b[0], n, k)
+	}
+	if i+1 < rows {
+		fmaTile2(&d[i*n], &a[i*lai], lai, lak, &b[0], n, k)
+		i += 2
+	}
+	return i
+}
+
+// biasOuter writes the depth-1 product d[i*n + j] = bias[j] + a[i]*b[j]
+// (n = len(b)) with one vecBiasOuter call. It reports false, having
+// written nothing, when the vector path is off.
+func biasOuter(d, a, b, bias []float64) bool {
+	if !fmaEnabled || len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	vecBiasOuter(&d[0], &a[0], len(a), &b[0], &bias[0], len(b))
+	return true
 }

@@ -1,7 +1,8 @@
-// AVX2/FMA micro-kernels for the batched GEMM path. Each kernel mirrors a
-// scalar micro-kernel in gemm.go exactly (same blocking shape, same
-// accumulator association per lane); lane sums are reduced in a fixed
-// order, so results are deterministic for a given binary and machine.
+// AVX2/FMA micro-kernels for the batched GEMM path. The dot kernels
+// (fmaDotPanel, fmaDot4x1) share one lane layout and reduction order; the
+// gradient tiles (fmaTile4, fmaTile2) give every output element one FMA
+// per term in source-row order. Results are therefore deterministic for a
+// given binary and machine, and independent of how a product is blocked.
 // Guarded at runtime by CPUID feature detection (see gemm_amd64.go).
 
 #include "textflag.h"
@@ -25,22 +26,35 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func fmaDot4x2(a0, a1, a2, a3, b0, b1 *float64, n int, out *[8]float64)
+// func fmaDotPanel(a, b *float64, k, npairs int, d *float64, ldd int, base *float64, ldbase int)
 //
-// out[2*i+j] = a_i · b_j over the shared depth n. Eight 4-lane FMA
-// accumulator chains; the lanes of each chain are reduced pairwise at the
-// end, then the scalar tail (n % 4 elements) accumulates into the reduced
-// sums with scalar FMAs.
-TEXT ·fmaDot4x2(SB), NOSPLIT, $0-64
-	MOVQ a0+0(FP), R8
-	MOVQ a1+8(FP), R9
-	MOVQ a2+16(FP), R10
-	MOVQ a3+24(FP), R11
-	MOVQ b0+32(FP), R12
-	MOVQ b1+40(FP), R13
-	MOVQ n+48(FP), CX
-	MOVQ out+56(FP), DI
+// One 4-row block of a·bᵀ against npairs consecutive b-row pairs:
+// column pair p takes b rows 2p and 2p+1 (row length k, like a's four
+// rows), and its eight dots land as
+//
+//	d[r*ldd + 2p + c] = base[r*ldbase + 2p + c] + a_r · b_{2p+c}
+//
+// base = d, ldbase = ldd accumulates in place (MulTAdd); base = bias,
+// ldbase = 0 starts every row from the bias (MulTBias). Each pair runs
+// the whole 4×2 dot body: eight 4-lane FMA accumulator chains over the
+// first k &^ 3 elements, each reduced (l0+l2) + (l1+l3), then the k % 4
+// tail fused into the reduced sums with scalar FMAs — the lane layout of
+// fmaDot4x1, so a dot has the same bits whichever kernel computes it.
+// The base value is the first operand of the final add.
+TEXT ·fmaDotPanel(SB), NOSPLIT, $0-64
+	MOVQ a+0(FP), R8
+	MOVQ k+16(FP), CX
+	LEAQ (R8)(CX*8), R9
+	LEAQ (R9)(CX*8), R10
+	LEAQ (R10)(CX*8), R11
+	MOVQ b+8(FP), R12
+	LEAQ (R12)(CX*8), R13
+	MOVQ d+32(FP), DI
+	MOVQ ldd+40(FP), BX
+	SHLQ $3, BX
+	MOVQ base+48(FP), SI
 
+panelpair:
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -53,9 +67,9 @@ TEXT ·fmaDot4x2(SB), NOSPLIT, $0-64
 	XORQ AX, AX
 	MOVQ CX, DX
 	ANDQ $-4, DX
-	JZ   dotreduce
+	JZ   panelreduce
 
-dotloop:
+panelloop:
 	VMOVUPD (R12)(AX*8), Y12
 	VMOVUPD (R13)(AX*8), Y13
 	VMOVUPD (R8)(AX*8), Y8
@@ -72,9 +86,9 @@ dotloop:
 	VFMADD231PD Y13, Y11, Y7
 	ADDQ $4, AX
 	CMPQ AX, DX
-	JL   dotloop
+	JL   panelloop
 
-dotreduce:
+panelreduce:
 	// Reduce each 4-lane accumulator to its low lane: (l0+l2) + (l1+l3).
 	VEXTRACTF128 $1, Y0, X8
 	VADDPD       X8, X0, X0
@@ -110,9 +124,9 @@ dotreduce:
 	VADDSD       X8, X7, X7
 
 	CMPQ AX, CX
-	JGE  dotstore
+	JGE  panelstore
 
-dottail:
+paneltail:
 	VMOVSD (R12)(AX*8), X12
 	VMOVSD (R13)(AX*8), X13
 	VMOVSD (R8)(AX*8), X8
@@ -129,25 +143,55 @@ dottail:
 	VFMADD231SD X13, X11, X7
 	INCQ AX
 	CMPQ AX, CX
-	JL   dottail
+	JL   paneltail
 
-dotstore:
+panelstore:
+	// AX and DX are free until the next pair: AX = base row stride in
+	// bytes, DX = the third-row pointers.
+	MOVQ   ldbase+56(FP), AX
+	SHLQ   $3, AX
+	VMOVSD (SI), X8
+	VADDSD X0, X8, X0
+	VMOVSD 8(SI), X8
+	VADDSD X1, X8, X1
+	VMOVSD (SI)(AX*1), X8
+	VADDSD X2, X8, X2
+	VMOVSD 8(SI)(AX*1), X8
+	VADDSD X3, X8, X3
+	VMOVSD (SI)(AX*2), X8
+	VADDSD X4, X8, X4
+	VMOVSD 8(SI)(AX*2), X8
+	VADDSD X5, X8, X5
+	LEAQ   (SI)(AX*2), DX
+	VMOVSD (DX)(AX*1), X8
+	VADDSD X6, X8, X6
+	VMOVSD 8(DX)(AX*1), X8
+	VADDSD X7, X8, X7
 	VMOVSD X0, (DI)
 	VMOVSD X1, 8(DI)
-	VMOVSD X2, 16(DI)
-	VMOVSD X3, 24(DI)
-	VMOVSD X4, 32(DI)
-	VMOVSD X5, 40(DI)
-	VMOVSD X6, 48(DI)
-	VMOVSD X7, 56(DI)
+	VMOVSD X2, (DI)(BX*1)
+	VMOVSD X3, 8(DI)(BX*1)
+	VMOVSD X4, (DI)(BX*2)
+	VMOVSD X5, 8(DI)(BX*2)
+	LEAQ   (DI)(BX*2), DX
+	VMOVSD X6, (DX)(BX*1)
+	VMOVSD X7, 8(DX)(BX*1)
+
+	ADDQ $16, DI
+	ADDQ $16, SI
+	LEAQ (R13)(CX*8), R12
+	LEAQ (R12)(CX*8), R13
+	DECQ npairs+24(FP)
+	JNZ  panelpair
+
 	VZEROUPPER
 	RET
 
 // func fmaDot4x1(r0, r1, r2, r3, x *float64, n int, out *[4]float64)
 //
 // out[i] = r_i · x over depth n: four rows against one shared vector (a
-// matvec step, or the rows a 4×2 block leaves over). Each dot has exactly
-// the lane layout of an fmaDot4x2 output — one 4-lane FMA chain, lanes
+// matvec step, or the odd column of a dot panel). Each dot has exactly
+// the lane layout of an fmaDotPanel output — one 4-lane FMA chain, lanes
 // reduced (l0+l2)+(l1+l3), scalar tail fused into the reduced sum — so
 // both kernels produce the same bits for the same pair of rows.
 TEXT ·fmaDot4x1(SB), NOSPLIT, $0-56
@@ -226,81 +270,306 @@ quadstore:
 	VZEROUPPER
 	RET
 
-// func fmaAxpy2x4(c *[8]float64, d0, d1, s0, s1, s2, s3 *float64, n int)
+// func fmaTile4(d, a *float64, lai, lak int, b *float64, n, k int)
 //
-// d0 += c[0]*s0 + c[1]*s1 + c[2]*s2 + c[3]*s3
-// d1 += c[4]*s0 + c[5]*s1 + c[6]*s2 + c[7]*s3
-TEXT ·fmaAxpy2x4(SB), NOSPLIT, $0-64
-	MOVQ c+0(FP), SI
-	MOVQ d0+8(FP), DI
-	MOVQ d1+16(FP), DX
-	MOVQ s0+24(FP), R8
-	MOVQ s1+32(FP), R9
-	MOVQ s2+40(FP), R10
-	MOVQ s3+48(FP), R11
-	MOVQ n+56(FP), CX
+// Register tile for the gradient GEMMs: for the four dst rows r at
+// d + r*n and every column j < n,
+//
+//	d[r*n + j] = fma(a[r*lai + kk*lak], b[kk*n + j], d[r*n + j])   kk = 0, 1, …, k-1
+//
+// one fused multiply-add per term, in kk order (lai/lak select MulATAdd's
+// transposed or MulAdd's plain coefficient layout). Each strip of
+// columns — 8 wide (two ymm per row), then 4, then 1 (scalar) — is
+// loaded into registers once, swept over all k rows and stored once, so
+// dst traffic no longer scales with k. Every element sees the same FMA
+// chain as a row-at-a-time accumulation. k must be > 0.
+TEXT ·fmaTile4(SB), NOSPLIT, $0-56
+	MOVQ lai+16(FP), R8
+	SHLQ $3, R8             // R8 = coefficient row stride (bytes)
+	LEAQ (R8)(R8*2), R9     // R9 = 3 coefficient rows
+	MOVQ lak+24(FP), R11
+	SHLQ $3, R11            // R11 = coefficient step per kk (bytes)
+	MOVQ n+40(FP), R13
+	MOVQ R13, BX
+	SHLQ $3, BX             // BX = d and b row stride (bytes)
+	LEAQ (BX)(BX*2), R12    // R12 = 3 d rows
+	XORQ AX, AX             // AX = strip's first column
 
-	VBROADCASTSD (SI), Y8
-	VBROADCASTSD 8(SI), Y9
-	VBROADCASTSD 16(SI), Y10
-	VBROADCASTSD 24(SI), Y11
-	VBROADCASTSD 32(SI), Y12
-	VBROADCASTSD 40(SI), Y13
-	VBROADCASTSD 48(SI), Y14
-	VBROADCASTSD 56(SI), Y15
+t4strip8:
+	LEAQ 8(AX), R10
+	CMPQ R10, R13
+	JGT  t4strip4
+	MOVQ d+0(FP), DX
+	LEAQ (DX)(AX*8), DX
+	MOVQ a+8(FP), SI
+	MOVQ b+32(FP), DI
+	LEAQ (DI)(AX*8), DI
+	MOVQ k+48(FP), CX
+	VMOVUPD (DX), Y0
+	VMOVUPD 32(DX), Y1
+	VMOVUPD (DX)(BX*1), Y2
+	VMOVUPD 32(DX)(BX*1), Y3
+	VMOVUPD (DX)(BX*2), Y4
+	VMOVUPD 32(DX)(BX*2), Y5
+	VMOVUPD (DX)(R12*1), Y6
+	VMOVUPD 32(DX)(R12*1), Y7
 
+t4k8:
+	VMOVUPD      (DI), Y8
+	VMOVUPD      32(DI), Y9
+	VBROADCASTSD (SI), Y10
+	VBROADCASTSD (SI)(R8*1), Y11
+	VBROADCASTSD (SI)(R8*2), Y12
+	VBROADCASTSD (SI)(R9*1), Y13
+	VFMADD231PD  Y8, Y10, Y0
+	VFMADD231PD  Y9, Y10, Y1
+	VFMADD231PD  Y8, Y11, Y2
+	VFMADD231PD  Y9, Y11, Y3
+	VFMADD231PD  Y8, Y12, Y4
+	VFMADD231PD  Y9, Y12, Y5
+	VFMADD231PD  Y8, Y13, Y6
+	VFMADD231PD  Y9, Y13, Y7
+	ADDQ         R11, SI
+	ADDQ         BX, DI
+	DECQ         CX
+	JNZ          t4k8
+
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, (DX)(BX*1)
+	VMOVUPD Y3, 32(DX)(BX*1)
+	VMOVUPD Y4, (DX)(BX*2)
+	VMOVUPD Y5, 32(DX)(BX*2)
+	VMOVUPD Y6, (DX)(R12*1)
+	VMOVUPD Y7, 32(DX)(R12*1)
+	MOVQ    R10, AX
+	JMP     t4strip8
+
+t4strip4:
+	LEAQ 4(AX), R10
+	CMPQ R10, R13
+	JGT  t4strip1
+	MOVQ d+0(FP), DX
+	LEAQ (DX)(AX*8), DX
+	MOVQ a+8(FP), SI
+	MOVQ b+32(FP), DI
+	LEAQ (DI)(AX*8), DI
+	MOVQ k+48(FP), CX
+	VMOVUPD (DX), Y0
+	VMOVUPD (DX)(BX*1), Y1
+	VMOVUPD (DX)(BX*2), Y2
+	VMOVUPD (DX)(R12*1), Y3
+
+t4k4:
+	VMOVUPD      (DI), Y8
+	VBROADCASTSD (SI), Y10
+	VBROADCASTSD (SI)(R8*1), Y11
+	VBROADCASTSD (SI)(R8*2), Y12
+	VBROADCASTSD (SI)(R9*1), Y13
+	VFMADD231PD  Y8, Y10, Y0
+	VFMADD231PD  Y8, Y11, Y1
+	VFMADD231PD  Y8, Y12, Y2
+	VFMADD231PD  Y8, Y13, Y3
+	ADDQ         R11, SI
+	ADDQ         BX, DI
+	DECQ         CX
+	JNZ          t4k4
+
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, (DX)(BX*1)
+	VMOVUPD Y2, (DX)(BX*2)
+	VMOVUPD Y3, (DX)(R12*1)
+	MOVQ    R10, AX
+
+t4strip1:
+	CMPQ AX, R13
+	JGE  t4done
+	MOVQ d+0(FP), DX
+	LEAQ (DX)(AX*8), DX
+	MOVQ a+8(FP), SI
+	MOVQ b+32(FP), DI
+	LEAQ (DI)(AX*8), DI
+	MOVQ k+48(FP), CX
+	VMOVSD (DX), X0
+	VMOVSD (DX)(BX*1), X1
+	VMOVSD (DX)(BX*2), X2
+	VMOVSD (DX)(R12*1), X3
+
+t4k1:
+	VMOVSD      (DI), X8
+	VFMADD231SD (SI), X8, X0
+	VFMADD231SD (SI)(R8*1), X8, X1
+	VFMADD231SD (SI)(R8*2), X8, X2
+	VFMADD231SD (SI)(R9*1), X8, X3
+	ADDQ        R11, SI
+	ADDQ        BX, DI
+	DECQ        CX
+	JNZ         t4k1
+
+	VMOVSD X0, (DX)
+	VMOVSD X1, (DX)(BX*1)
+	VMOVSD X2, (DX)(BX*2)
+	VMOVSD X3, (DX)(R12*1)
+	INCQ   AX
+	JMP    t4strip1
+
+t4done:
+	VZEROUPPER
+	RET
+
+// func fmaTile2(d, a *float64, lai, lak int, b *float64, n, k int)
+//
+// The two-row form of fmaTile4, for the row pair a 4-row tiling leaves
+// over: the same strips and the same per-element FMA chain.
+TEXT ·fmaTile2(SB), NOSPLIT, $0-56
+	MOVQ lai+16(FP), R8
+	SHLQ $3, R8
+	MOVQ lak+24(FP), R11
+	SHLQ $3, R11
+	MOVQ n+40(FP), R13
+	MOVQ R13, BX
+	SHLQ $3, BX
 	XORQ AX, AX
-	MOVQ CX, BX
-	ANDQ $-4, BX
-	JZ   axpytailcheck
 
-axpyloop:
-	VMOVUPD (R8)(AX*8), Y4
-	VMOVUPD (R9)(AX*8), Y5
-	VMOVUPD (R10)(AX*8), Y6
-	VMOVUPD (R11)(AX*8), Y7
-	VMOVUPD (DI)(AX*8), Y0
-	VMOVUPD (DX)(AX*8), Y1
-	VFMADD231PD Y4, Y8, Y0
-	VFMADD231PD Y5, Y9, Y0
-	VFMADD231PD Y6, Y10, Y0
-	VFMADD231PD Y7, Y11, Y0
-	VFMADD231PD Y4, Y12, Y1
-	VFMADD231PD Y5, Y13, Y1
-	VFMADD231PD Y6, Y14, Y1
-	VFMADD231PD Y7, Y15, Y1
-	VMOVUPD Y0, (DI)(AX*8)
-	VMOVUPD Y1, (DX)(AX*8)
-	ADDQ $4, AX
-	CMPQ AX, BX
-	JL   axpyloop
+t2strip8:
+	LEAQ 8(AX), R10
+	CMPQ R10, R13
+	JGT  t2strip4
+	MOVQ d+0(FP), DX
+	LEAQ (DX)(AX*8), DX
+	MOVQ a+8(FP), SI
+	MOVQ b+32(FP), DI
+	LEAQ (DI)(AX*8), DI
+	MOVQ k+48(FP), CX
+	VMOVUPD (DX), Y0
+	VMOVUPD 32(DX), Y1
+	VMOVUPD (DX)(BX*1), Y2
+	VMOVUPD 32(DX)(BX*1), Y3
 
-axpytailcheck:
-	CMPQ AX, CX
-	JGE  axpydone
+t2k8:
+	VMOVUPD      (DI), Y8
+	VMOVUPD      32(DI), Y9
+	VBROADCASTSD (SI), Y10
+	VBROADCASTSD (SI)(R8*1), Y11
+	VFMADD231PD  Y8, Y10, Y0
+	VFMADD231PD  Y9, Y10, Y1
+	VFMADD231PD  Y8, Y11, Y2
+	VFMADD231PD  Y9, Y11, Y3
+	ADDQ         R11, SI
+	ADDQ         BX, DI
+	DECQ         CX
+	JNZ          t2k8
 
-axpytail:
-	VMOVSD (R8)(AX*8), X4
-	VMOVSD (R9)(AX*8), X5
-	VMOVSD (R10)(AX*8), X6
-	VMOVSD (R11)(AX*8), X7
-	VMOVSD (DI)(AX*8), X0
-	VMOVSD (DX)(AX*8), X1
-	VFMADD231SD X4, X8, X0
-	VFMADD231SD X5, X9, X0
-	VFMADD231SD X6, X10, X0
-	VFMADD231SD X7, X11, X0
-	VFMADD231SD X4, X12, X1
-	VFMADD231SD X5, X13, X1
-	VFMADD231SD X6, X14, X1
-	VFMADD231SD X7, X15, X1
-	VMOVSD X0, (DI)(AX*8)
-	VMOVSD X1, (DX)(AX*8)
-	INCQ AX
-	CMPQ AX, CX
-	JL   axpytail
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, (DX)(BX*1)
+	VMOVUPD Y3, 32(DX)(BX*1)
+	MOVQ    R10, AX
+	JMP     t2strip8
 
-axpydone:
+t2strip4:
+	LEAQ 4(AX), R10
+	CMPQ R10, R13
+	JGT  t2strip1
+	MOVQ d+0(FP), DX
+	LEAQ (DX)(AX*8), DX
+	MOVQ a+8(FP), SI
+	MOVQ b+32(FP), DI
+	LEAQ (DI)(AX*8), DI
+	MOVQ k+48(FP), CX
+	VMOVUPD (DX), Y0
+	VMOVUPD (DX)(BX*1), Y1
+
+t2k4:
+	VMOVUPD      (DI), Y8
+	VBROADCASTSD (SI), Y10
+	VBROADCASTSD (SI)(R8*1), Y11
+	VFMADD231PD  Y8, Y10, Y0
+	VFMADD231PD  Y8, Y11, Y1
+	ADDQ         R11, SI
+	ADDQ         BX, DI
+	DECQ         CX
+	JNZ          t2k4
+
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, (DX)(BX*1)
+	MOVQ    R10, AX
+
+t2strip1:
+	CMPQ AX, R13
+	JGE  t2done
+	MOVQ d+0(FP), DX
+	LEAQ (DX)(AX*8), DX
+	MOVQ a+8(FP), SI
+	MOVQ b+32(FP), DI
+	LEAQ (DI)(AX*8), DI
+	MOVQ k+48(FP), CX
+	VMOVSD (DX), X0
+	VMOVSD (DX)(BX*1), X1
+
+t2k1:
+	VMOVSD      (DI), X8
+	VFMADD231SD (SI), X8, X0
+	VFMADD231SD (SI)(R8*1), X8, X1
+	ADDQ        R11, SI
+	ADDQ        BX, DI
+	DECQ        CX
+	JNZ         t2k1
+
+	VMOVSD X0, (DX)
+	VMOVSD X1, (DX)(BX*1)
+	INCQ   AX
+	JMP    t2strip1
+
+t2done:
+	VZEROUPPER
+	RET
+
+// func vecBiasOuter(d, a *float64, rows int, b, bias *float64, n int)
+//
+// The depth-1 MulTBias: d[i*n + j] = bias[j] + a[i]*b[j] for rows > 0
+// rows. The product rounds (VMULPD) before the add (VADDPD), as the
+// scalar loop's does; the n % 4 tail runs the same two operations
+// scalar. Needs AVX only, but shares the FMA kernels' gate.
+TEXT ·vecBiasOuter(SB), NOSPLIT, $0-48
+	MOVQ d+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ rows+16(FP), CX
+	MOVQ b+24(FP), R8
+	MOVQ bias+32(FP), R9
+	MOVQ n+40(FP), R10
+	MOVQ R10, R11
+	ANDQ $-4, R11
+
+biasrow:
+	VBROADCASTSD (SI), Y0
+	XORQ         AX, AX
+	CMPQ         AX, R11
+	JGE          biastail
+
+biasvec:
+	VMULPD  (R8)(AX*8), Y0, Y1
+	VADDPD  (R9)(AX*8), Y1, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, R11
+	JL      biasvec
+
+biastail:
+	CMPQ   AX, R10
+	JGE    biasnext
+	VMULSD (R8)(AX*8), X0, X1
+	VADDSD (R9)(AX*8), X1, X1
+	VMOVSD X1, (DI)(AX*8)
+	INCQ   AX
+	JMP    biastail
+
+biasnext:
+	LEAQ (DI)(R10*8), DI
+	ADDQ $8, SI
+	DECQ CX
+	JNZ  biasrow
+
 	VZEROUPPER
 	RET
 

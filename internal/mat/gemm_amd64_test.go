@@ -15,31 +15,30 @@ func head(s []float64) *float64 { return &s[:cap(s)][0] }
 
 // TestFMADot4x1 pins the 4×1 kernel for every depth 0…67 (each remainder
 // of the 4-lane loop, with and without a full iteration): within rounding
-// of a naive dot, and bit-equal to the matching fmaDot4x2 output and to
-// the single-dot fmaDot1x1 for the same row and vector.
+// of a naive dot, and bit-equal to the single-dot fmaDot1x1 and to the
+// matching fmaDotPanel output for the same row and vector, in both of the
+// panel's modes (bias base and in-place accumulation).
 func TestFMADot4x1(t *testing.T) {
 	if !fmaEnabled {
 		t.Skip("AVX2+FMA kernels not enabled (no CPU support, or EVFED_PURE_GO=1)")
 	}
 	r := rng.New(21)
 	for n := 0; n <= 67; n++ {
-		rows := make([][]float64, 4)
-		for i := range rows {
-			rows[i] = make([]float64, n, n+1)
-			for k := range rows[i] {
-				rows[i][k] = r.Normal(0, 1)
-			}
-		}
-		x := make([]float64, n, n+1)
-		y := make([]float64, n, n+1)
-		for k := range x {
-			x[k], y[k] = r.Normal(0, 1), r.Normal(0, 1)
-		}
+		a := randMat(r, 4, n)
+		a.Data = append(a.Data, 0)[:4*n] // head() needs a backing element at n = 0
+		b := randMat(r, 2, n)
+		b.Data = append(b.Data, 0)[:2*n]
+		x := b.Data[: n : n+1]
+		bias := randMat(r, 1, 2).Data
+		acc := randMat(r, 4, 2)
+		biased := NewMatrix(4, 2)
+		fmaDotPanel(head(a.Data), head(b.Data), n, 1, &biased.Data[0], 2, &bias[0], 0)
+		summed := acc.Clone()
+		fmaDotPanel(head(a.Data), head(b.Data), n, 1, &summed.Data[0], 2, &summed.Data[0], 2)
 		var got [4]float64
-		fmaDot4x1(head(rows[0]), head(rows[1]), head(rows[2]), head(rows[3]), head(x), n, &got)
-		var block [8]float64
-		fmaDot4x2(head(rows[0]), head(rows[1]), head(rows[2]), head(rows[3]), head(x), head(y), n, &block)
-		for i, row := range rows {
+		fmaDot4x1(head(a.Data), head(a.Data[n:]), head(a.Data[2*n:]), head(a.Data[3*n:]), head(x), n, &got)
+		for i := 0; i < 4; i++ {
+			row := a.Data[i*n : i*n+n]
 			var want float64
 			for k := range row {
 				want += row[k] * x[k]
@@ -47,11 +46,14 @@ func TestFMADot4x1(t *testing.T) {
 			if math.Abs(got[i]-want) > 1e-12*float64(n+1) {
 				t.Fatalf("n=%d row %d: fmaDot4x1 %v, naive %v", n, i, got[i], want)
 			}
-			if got[i] != block[2*i] {
-				t.Fatalf("n=%d row %d: fmaDot4x1 %v, fmaDot4x2 %v", n, i, got[i], block[2*i])
-			}
 			if one := fmaDot1x1(row, x); got[i] != one {
 				t.Fatalf("n=%d row %d: fmaDot4x1 %v, fmaDot1x1 %v", n, i, got[i], one)
+			}
+			if p := biased.At(i, 0); p != bias[0]+got[i] {
+				t.Fatalf("n=%d row %d: fmaDotPanel (bias) %v, bias + fmaDot4x1 %v", n, i, p, bias[0]+got[i])
+			}
+			if p := summed.At(i, 0); p != acc.At(i, 0)+got[i] {
+				t.Fatalf("n=%d row %d: fmaDotPanel (accumulate) %v, dst + fmaDot4x1 %v", n, i, p, acc.At(i, 0)+got[i])
 			}
 		}
 	}

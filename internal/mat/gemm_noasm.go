@@ -5,8 +5,9 @@ package mat
 // Non-amd64 builds always run the portable scalar micro-kernels.
 const fmaEnabled = false
 
-func dotBlock4x2(a0, a1, a2, a3, b0, b1 []float64, out *[8]float64) {
-	out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7] = dot4x2(a0, a1, a2, a3, b0, b1)
+// dotPanel leaves every column pair to the scalar dot4x2 loop.
+func dotPanel(a, b []float64, k, ncols int, d []float64, ldd int, base []float64, ldbase int) int {
+	return 0
 }
 
 func dotQuad(r0, r1, r2, r3, x []float64) (s0, s1, s2, s3 float64) {
@@ -15,9 +16,13 @@ func dotQuad(r0, r1, r2, r3, x []float64) (s0, s1, s2, s3 float64) {
 
 func dotOne(a, x []float64) float64 { return dot1x1(a, x) }
 
-func axpyBlock2x4(c *[8]float64, d0, d1, s0, s1, s2, s3 []float64) {
-	axpy2x4(c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7], d0, d1, s0, s1, s2, s3)
+// gradTile leaves every row to the scalar axpy2x4 loops.
+func gradTile(d []float64, rows, n int, a []float64, lai, lak int, b []float64, k int) int {
+	return 0
 }
+
+// biasOuter leaves the depth-1 MulTBias to the scalar loop.
+func biasOuter(d, a, b, bias []float64) bool { return false }
 
 // axpyCompVec leaves the whole of AxpyComp to the scalar loop.
 func axpyCompVec(alpha float64, dst, comp, src []float64) int { return 0 }

@@ -184,16 +184,16 @@ func TestDotKernelsShareAssociation(t *testing.T) {
 			}
 		}
 
-		if n == 0 {
-			continue // the dispatchers are only called with a non-empty depth
+		if n < 2 {
+			continue // depth 0 and 1 take MulT's non-dot paths
 		}
-		var block [8]float64
-		dotBlock4x2(a0, a1, a2, a3, x, y, &block)
+		block := NewMatrix(4, 2) // one 4×2 dot panel
+		block.MulT(a, b)
 		q0, q1, q2, q3 = dotQuad(a0, a1, a2, a3, x)
 		for i, q := range []float64{q0, q1, q2, q3} {
-			if q != block[2*i] || dotOne(a.Row(i), x) != q {
+			if q != block.At(i, 0) || dotOne(a.Row(i), x) != q {
 				t.Fatalf("n=%d row %d dispatched: 4×2 %v, 4×1 %v, single %v",
-					n, i, block[2*i], q, dotOne(a.Row(i), x))
+					n, i, block.At(i, 0), q, dotOne(a.Row(i), x))
 			}
 		}
 	}

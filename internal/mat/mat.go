@@ -6,10 +6,10 @@
 // scalar Go with 4-way unrolled dot/axpy inner loops, independent
 // accumulators and 2–4-row register blocking; the GEMMs (gemm.go) fall
 // back to them for one-row and one-column shapes. The GEMMs additionally
-// carry AVX2+FMA micro-kernels and vectorized panel activations behind
-// runtime CPUID detection, with the same scalar blocking as the portable
-// fallback (see gemm_amd64.go); the four-row dot kernel (dotQuad) is
-// vectorized the same way. EVFED_PURE_GO=1 forces the fallback
+// carry AVX2+FMA dot panels and gradient register tiles and vectorized
+// panel activations behind runtime CPUID detection (see gemm_amd64.go);
+// the four-row dot kernel (dotQuad) is vectorized with the dot panels'
+// lane layout. EVFED_PURE_GO=1 forces the portable fallback
 // everywhere. All
 // operations are allocation-free when given destination buffers, which
 // matters inside the BPTT inner loop.

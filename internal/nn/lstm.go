@@ -96,9 +96,15 @@ type lstmCache struct {
 	h     []*mat.Matrix // [T] B×U hidden states
 }
 
-// ForwardBatch implements Layer: one B×in → B×4U GEMM pair per timestep,
-// followed by the fused gate activations and the elementwise cell update
-// applied row-wise.
+// ForwardBatch implements Layer. The input projection x_t·Wxᵀ + b does
+// not depend on the recurrence, so it is computed for every step before
+// the recurrence starts, once per distinct step matrix: a step that
+// aliases its predecessor (every step after the first behind a
+// RepeatVector) copies the projection instead of recomputing it. Each
+// step then adds h_{t-1}·Whᵀ (one B×U → B×4U GEMM), applies the fused
+// gate activations and the elementwise cell update row-wise. The gate
+// panels hold the same values in the same order of operations as a
+// projection computed inside the loop.
 func (l *LSTM) ForwardBatch(x *BatchSeq, ctx *Context) (*BatchSeq, any) {
 	checkBatch(x, l.in, l)
 	T := x.T()
@@ -123,7 +129,14 @@ func (l *LSTM) ForwardBatch(x *BatchSeq, ctx *Context) (*BatchSeq, any) {
 	for t := 0; t < T; t++ {
 		z := wsMatRaw(ws, B, 4*U)
 		cache.gates[t] = z
-		z.MulTBias(x.Steps[t], l.wx, bias)
+		if t > 0 && x.Steps[t] == x.Steps[t-1] {
+			copy(z.Data, cache.gates[t-1].Data)
+		} else {
+			z.MulTBias(x.Steps[t], l.wx, bias)
+		}
+	}
+	for t := 0; t < T; t++ {
+		z := cache.gates[t]
 		z.MulTAdd(hPrev, l.wh)
 		z.GateActivationsRows(U)
 		c := wsMatRaw(ws, B, U)

@@ -334,6 +334,29 @@ func TestNumParams(t *testing.T) {
 	}
 }
 
+// TestSpecNumParams: the count a spec computes by arithmetic is the count
+// the built model holds, and a count that does not fit an int is
+// reported rather than wrapped.
+func TestSpecNumParams(t *testing.T) {
+	for _, spec := range []Spec{ForecasterSpec(50, 10), AutoencoderSpec(24, 50, 25, 0.2), DenseForecasterSpec(12, 8)} {
+		m, err := Build(spec, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, ok := spec.NumParams(); !ok || n != m.NumParams() {
+			t.Fatalf("%s: spec counts %d (ok %v), model holds %d", spec.Name, n, ok, m.NumParams())
+		}
+	}
+	for _, spec := range []Spec{
+		AutoencoderSpec(24, 1<<40, 25, 0.2),
+		{Layers: []LayerSpec{{Kind: "dense", In: -1, Out: 3}}},
+	} {
+		if n, ok := spec.NumParams(); ok {
+			t.Fatalf("%+v: counted %d, want overflow/invalid", spec.Layers[0], n)
+		}
+	}
+}
+
 func TestDenseForecasterSpec(t *testing.T) {
 	m, err := Build(DenseForecasterSpec(12, 8), 77)
 	if err != nil {

@@ -2,6 +2,8 @@ package nn
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"github.com/evfed/evfed/internal/rng"
 )
@@ -61,6 +63,45 @@ func Build(spec Spec, seed uint64) (*Model, error) {
 		layers = append(layers, l)
 	}
 	return NewModel(layers...)
+}
+
+// NumParams returns the number of scalar parameters a model built from s
+// holds, computed from the layer shapes alone, so a caller can check a
+// weight vector's length before Build allocates anything. ok is false
+// when a dimension is negative or the count overflows an int; dimensions
+// Build would reject are otherwise counted as given.
+func (s Spec) NumParams() (n int, ok bool) {
+	ok = true
+	add := func(a, b int) { // n += a·b, checked
+		if a < 0 || b < 0 {
+			ok = false
+			return
+		}
+		hi, lo := bits.Mul64(uint64(a), uint64(b))
+		sum, carry := bits.Add64(lo, uint64(n), 0)
+		if hi != 0 || carry != 0 || sum > math.MaxInt {
+			ok = false
+			return
+		}
+		n = int(sum)
+	}
+	for _, ls := range s.Layers {
+		switch ls.Kind {
+		case "lstm": // wx 4U×in, wh 4U×U, b 4U
+			for g := 0; g < 4; g++ {
+				add(ls.Out, ls.In)
+				add(ls.Out, ls.Out)
+				add(ls.Out, 1)
+			}
+		case "dense": // w out×in, b out
+			add(ls.Out, ls.In)
+			add(ls.Out, 1)
+		}
+	}
+	if !ok {
+		return 0, false
+	}
+	return n, true
 }
 
 // ForecasterSpec is the paper's demand-forecasting architecture:

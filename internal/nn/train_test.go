@@ -248,3 +248,30 @@ func BenchmarkBackwardForecaster(b *testing.B) {
 		gradBatch(m, xs, ys, MSE{}, gs)
 	}
 }
+
+// TestFitExtraEpochAllocs pins Fit's steady state: with one worker and no
+// validation split, an epoch beyond the first allocates at most once on
+// average (History.TrainLoss growing). Everything else Fit allocates —
+// the gradient pool, workspaces, the optimizer state — is paid once per
+// call, however many epochs the call runs.
+func TestFitExtraEpochAllocs(t *testing.T) {
+	m, err := Build(ForecasterSpec(16, 4), 61)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs, targets := sineDataset(120, 12, 62)
+	allocs := func(epochs int) float64 {
+		return testing.AllocsPerRun(2, func() {
+			cfg := DefaultTrainConfig(epochs, 63)
+			cfg.Workers = 1
+			if _, err := Fit(m, inputs, targets, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, nine := allocs(1), allocs(9)
+	if perEpoch := (nine - one) / 8; perEpoch > 1 {
+		t.Fatalf("Fit allocated %v times for 1 epoch and %v for 9: %.2f per extra epoch, want ≤ 1",
+			one, nine, perEpoch)
+	}
+}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -138,6 +139,42 @@ func TestHTTPDetectorFileReload(t *testing.T) {
 	}
 	if got := s.Threshold(); fmt.Sprintf("%.12g", got) != fmt.Sprintf("%.12g", thr*3) {
 		t.Fatalf("threshold %v, want %v", got, thr*3)
+	}
+}
+
+// TestHTTPDetectorFileWeightCount: a detector file whose configuration
+// names a model far larger than the weights it carries (here a
+// 20,000-unit encoder, 12.8 GB of recurrent kernel, with three weights)
+// is the caller's fault on both raw-body control endpoints — 400, with
+// the serving model and epoch untouched.
+func TestHTTPDetectorFileWeightCount(t *testing.T) {
+	s := newTestService(t, Config{Shards: 1, Rollout: testRollout()})
+	ctrl := httptest.NewServer(s.ControlHandler())
+	defer ctrl.Close()
+
+	cfg := s.state.Load().det.Config()
+	cfg.EncoderUnits = 20000
+	var file bytes.Buffer
+	// gob matches fields by name: this is the detector file layout.
+	if err := gob.NewEncoder(&file).Encode(struct {
+		Config    autoencoder.Config
+		Weights   []float64
+		Threshold float64
+	}{cfg, []float64{1, 2, 3}, 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/reload", "/stage"} {
+		resp, err := http.Post(ctrl.URL+path, "application/octet-stream", bytes.NewReader(file.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s with a %d-byte oversized-model file: %d, want 400", path, file.Len(), resp.StatusCode)
+		}
+	}
+	if s.Epoch() != 1 {
+		t.Fatalf("epoch %d after rejected reloads", s.Epoch())
 	}
 }
 
