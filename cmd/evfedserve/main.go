@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	evfedserve -model detector.bin [-threshold X] [-codec binary|http]
+//	evfedserve -model detector.bin [-threshold X]
 //	    [-addr :9090] [-reload-addr :9091] [-shards N] [-depth N]
 //	    [-mitigate] [-idle-ttl 0] [-persist FILE]
 //	    [-canary] [-canary-fraction 0.25] [-canary-sample-every 4]
@@ -17,11 +17,12 @@
 // calibrated threshold alongside the weights), or -train-synthetic
 // trains one on synthetic zone data at startup for self-contained demos.
 //
-// -codec selects the scoring ingestion protocol on -addr: "binary" (the
-// federation's length-prefixed wire framing: MsgScore/MsgScoreOK, plus
-// MsgReload pushes from cmd/evfedcoord -serve-reload) or "http" (POST
-// /score JSON). The control plane on -reload-addr is always HTTP: POST
-// /reload (JSON weights or a raw detector file), GET /stats, GET
+// Each plane speaks one protocol. -addr is the binary scoring listener
+// (the federation's length-prefixed wire framing: MsgScore/MsgScoreOK,
+// plus the MsgReload and MsgCanaryPush model pushes from cmd/evfedcoord
+// -serve-reload and -serve-canary); producers connect with
+// serve.DialWire. The operator control plane on -reload-addr is HTTP:
+// POST /reload (JSON weights or a raw detector file), GET /stats, GET
 // /healthz — plus, with -canary, POST /stage, POST /promote, POST
 // /rollback and GET /rollout.
 //
@@ -79,8 +80,7 @@ func run(fs *flag.FlagSet, args []string, onStart func(started) (stop <-chan str
 	var (
 		model     = fs.String("model", "", "detector file from evfeddetect -save-model")
 		threshold = fs.Float64("threshold", 0, "detection threshold override (default: the persisted calibration)")
-		codec     = fs.String("codec", "binary", "scoring ingestion protocol on -addr: binary or http")
-		addr      = fs.String("addr", ":9090", "scoring listener address")
+		addr      = fs.String("addr", ":9090", "binary scoring listener address")
 		reload    = fs.String("reload-addr", ":9091", "HTTP control-plane address (empty disables)")
 		shards    = fs.Int("shards", 0, "scoring shards (0 = GOMAXPROCS)")
 		depth     = fs.Int("depth", 1024, "per-shard bounded queue depth")
@@ -140,28 +140,12 @@ func run(fs *flag.FlagSet, args []string, onStart func(started) (stop <-chan str
 	}
 	defer svc.Close()
 
-	st := started{Service: svc}
-	var wire *serve.WireServer
-	var httpScore *http.Server
-	switch *codec {
-	case "binary":
-		if wire, err = serve.ListenWire(svc, *addr); err != nil {
-			return err
-		}
-		defer wire.Stop()
-		st.ScoreAddr = wire.Addr()
-	case "http":
-		ln, lerr := listen(*addr)
-		if lerr != nil {
-			return lerr
-		}
-		httpScore = &http.Server{Handler: svc.Handler()}
-		go httpScore.Serve(ln)
-		defer httpScore.Close()
-		st.ScoreAddr = ln.Addr().String()
-	default:
-		return fmt.Errorf("unknown codec %q (want binary or http)", *codec)
+	wire, err := serve.ListenWire(svc, *addr)
+	if err != nil {
+		return err
 	}
+	defer wire.Stop()
+	st := started{ScoreAddr: wire.Addr(), Service: svc}
 
 	var ctrl *http.Server
 	if *reload != "" {
@@ -176,7 +160,7 @@ func run(fs *flag.FlagSet, args []string, onStart func(started) (stop <-chan str
 	}
 
 	fmt.Fprintf(os.Stderr, "%s\n", svc)
-	fmt.Fprintf(os.Stderr, "scoring (%s) on %s", *codec, st.ScoreAddr)
+	fmt.Fprintf(os.Stderr, "scoring on %s", st.ScoreAddr)
 	if st.ReloadAddr != "" {
 		fmt.Fprintf(os.Stderr, ", control plane on http://%s", st.ReloadAddr)
 	}
@@ -224,12 +208,7 @@ func run(fs *flag.FlagSet, args []string, onStart func(started) (stop <-chan str
 	if snapDone != nil {
 		close(snapDone)
 	}
-	if wire != nil {
-		wire.Stop()
-	}
-	if httpScore != nil {
-		httpScore.Close()
-	}
+	wire.Stop()
 	if ctrl != nil {
 		ctrl.Close()
 	}

@@ -27,7 +27,7 @@ func TestServeSmoke(t *testing.T) {
 		fs := flag.NewFlagSet("evfedserve", flag.ContinueOnError)
 		done <- run(fs, []string{
 			"-train-synthetic", "-quick", "-seed", "3",
-			"-codec", "binary", "-addr", "127.0.0.1:0", "-reload-addr", "127.0.0.1:0",
+			"-addr", "127.0.0.1:0", "-reload-addr", "127.0.0.1:0",
 			"-shards", "2", "-mitigate",
 		}, func(st started) <-chan struct{} {
 			ready <- st
@@ -121,7 +121,7 @@ func TestCanarySmoke(t *testing.T) {
 		fs := flag.NewFlagSet("evfedserve", flag.ContinueOnError)
 		done <- run(fs, []string{
 			"-train-synthetic", "-quick", "-seed", "3",
-			"-codec", "binary", "-addr", "127.0.0.1:0", "-reload-addr", "127.0.0.1:0",
+			"-addr", "127.0.0.1:0", "-reload-addr", "127.0.0.1:0",
 			"-shards", "2",
 			"-canary", "-canary-fraction", "0.5", "-canary-sample-every", "1",
 			"-canary-shadow", "64", "-canary-promote", "64",
@@ -278,7 +278,7 @@ func TestServeSnapshotResume(t *testing.T) {
 
 	st, stop, done := boot([]string{
 		"-train-synthetic", "-quick", "-seed", "3",
-		"-codec", "binary", "-addr", "127.0.0.1:0", "-reload-addr", "127.0.0.1:0",
+		"-addr", "127.0.0.1:0", "-reload-addr", "127.0.0.1:0",
 		"-shards", "2", "-persist", persistPath, "-snapshot-every", "50ms",
 	})
 
@@ -314,7 +314,7 @@ func TestServeSnapshotResume(t *testing.T) {
 
 	// Restart from the snapshot alone — no -model, no -train-synthetic.
 	st2, stop2, done2 := boot([]string{
-		"-codec", "binary", "-addr", "127.0.0.1:0", "-reload-addr", "127.0.0.1:0",
+		"-addr", "127.0.0.1:0", "-reload-addr", "127.0.0.1:0",
 		"-shards", "2", "-persist", persistPath,
 	})
 	if got := st2.Service.Threshold(); got != wantThr {

@@ -70,10 +70,18 @@ func DefaultConfig() Config {
 	}
 }
 
+// maxSeqLen bounds Config.SeqLen. A detector file from outside the
+// process names its own window length, and the weight count does not
+// depend on it, so only this bound stops a few hundred bytes of file
+// from making every scored station allocate a ring of 2·SeqLen points
+// and every BPTT unroll SeqLen steps. 1,024 hourly points are six
+// weeks; the paper uses 24.
+const maxSeqLen = 1024
+
 func (c Config) validate() error {
 	switch {
-	case c.SeqLen <= 0:
-		return fmt.Errorf("%w: seqLen %d", ErrBadConfig, c.SeqLen)
+	case c.SeqLen <= 0 || c.SeqLen > maxSeqLen:
+		return fmt.Errorf("%w: seqLen %d (want 1..%d)", ErrBadConfig, c.SeqLen, maxSeqLen)
 	case c.EncoderUnits <= 0 || c.Bottleneck <= 0:
 		return fmt.Errorf("%w: units %d/%d", ErrBadConfig, c.EncoderUnits, c.Bottleneck)
 	case c.Epochs <= 0 || c.BatchSize <= 0:

@@ -30,6 +30,7 @@ func FuzzLoadCalibrated(f *testing.F) {
 	f.Add(valid.Bytes())
 	f.Add(valid.Bytes()[:valid.Len()/2])
 	f.Add(hugeModelFile(f))
+	f.Add(hugeWindowFile(f))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

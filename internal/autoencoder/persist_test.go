@@ -75,6 +75,56 @@ func TestLoadTruncated(t *testing.T) {
 	}
 }
 
+// craftedFile is a well-formed detector frame carrying weights for the
+// given configuration.
+func craftedFile(t testing.TB, cfg Config, weights []float64) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(detectorFile{Config: cfg, Weights: weights, Threshold: 1}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// hugeWindowFile is a real small detector's file whose configuration
+// names a 2⁴⁰-point window: the weight count does not depend on SeqLen,
+// so only the configuration check can refuse it.
+func hugeWindowFile(t testing.TB) []byte {
+	t.Helper()
+	cfg := smallConfig(7)
+	cfg.SeqLen, cfg.EncoderUnits, cfg.Bottleneck = 6, 4, 2
+	model, err := nn.Build(nn.AutoencoderSpec(cfg.SeqLen, cfg.EncoderUnits, cfg.Bottleneck, cfg.Dropout), cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.SeqLen = 1 << 40
+	return craftedFile(t, cfg, model.WeightsVector())
+}
+
+// TestLoadRejectsBadConfig: a detector file whose configuration is out
+// of range fails with ErrBadConfig before any model is built.
+func TestLoadRejectsBadConfig(t *testing.T) {
+	withCfg := func(edit func(*Config)) []byte {
+		cfg := smallConfig(7)
+		edit(&cfg)
+		return craftedFile(t, cfg, nil)
+	}
+	cases := []struct {
+		name string
+		file []byte
+	}{
+		{"2^40-point window", hugeWindowFile(t)},
+		{"window one past the cap", withCfg(func(c *Config) { c.SeqLen = maxSeqLen + 1 })},
+		{"zero window", withCfg(func(c *Config) { c.SeqLen = 0 })},
+		{"zero units", withCfg(func(c *Config) { c.EncoderUnits = 0 })},
+	}
+	for _, tc := range cases {
+		if _, _, err := LoadCalibrated(bytes.NewReader(tc.file)); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s (%d-byte file): want ErrBadConfig, got %v", tc.name, len(tc.file), err)
+		}
+	}
+}
+
 // hugeModelFile is a well-formed detector frame whose configuration names
 // a 20,000-unit encoder — a 12.8 GB recurrent kernel — while carrying
 // three weights.
@@ -82,11 +132,7 @@ func hugeModelFile(t testing.TB) []byte {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.EncoderUnits = 20000
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(detectorFile{Config: cfg, Weights: []float64{1, 2, 3}, Threshold: 1}); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return craftedFile(t, cfg, []float64{1, 2, 3})
 }
 
 // TestLoadChecksWeightCountBeforeBuild: the weight count is checked

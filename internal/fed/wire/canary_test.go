@@ -6,26 +6,27 @@ import (
 	"testing"
 )
 
-// TestCanaryFrameRoundTrips: every MsgCanary* payload survives
-// encode→frame→decode bit-exactly and the size helpers are exact.
+// TestCanaryFrameRoundTrips: a MsgCanaryPush (the MsgReload layout) and
+// its MsgCanaryPushOK survive encode→frame→decode bit-exactly and the
+// size helpers are exact.
 func TestCanaryFrameRoundTrips(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewConn(pipeConn{r: &buf, w: &buf})
 	weights := []float64{0.5, -1.25, 3, 0.0625}
 
 	if err := c.WriteFrame(MsgCanaryPush, func(b []byte) ([]byte, error) {
-		return AppendVector(AppendCanaryPush(b, 0.07), VecF64, weights, nil, nil)
+		return AppendVector(AppendReload(b, 0.07), VecF64, weights, nil, nil)
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() != CanaryPushBytes(VecF64, len(weights)) {
-		t.Fatalf("push frame %d bytes, CanaryPushBytes %d", buf.Len(), CanaryPushBytes(VecF64, len(weights)))
+	if buf.Len() != ReloadBytes(VecF64, len(weights)) {
+		t.Fatalf("push frame %d bytes, ReloadBytes %d", buf.Len(), ReloadBytes(VecF64, len(weights)))
 	}
 	fr, err := c.ReadFrame()
 	if err != nil || fr.Type != MsgCanaryPush {
 		t.Fatalf("read push: %v %v", fr.Type, err)
 	}
-	thr, rest, err := ParseCanaryPush(fr.Payload)
+	thr, rest, err := ParseReload(fr.Payload)
 	if err != nil || thr != 0.07 {
 		t.Fatalf("parse push: thr %v err %v", thr, err)
 	}
@@ -54,97 +55,14 @@ func TestCanaryFrameRoundTrips(t *testing.T) {
 	if gen, err := ParseCanaryPushOK(fr.Payload); err != nil || gen != 42 {
 		t.Fatalf("parse pushOK: gen %d err %v", gen, err)
 	}
-
-	buf.Reset()
-	if err := c.WriteFrame(MsgCanaryStatus, nil); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != CanaryStatusBytes() {
-		t.Fatalf("status frame %d bytes, want %d", buf.Len(), CanaryStatusBytes())
-	}
-	if _, err = c.ReadFrame(); err != nil {
-		t.Fatal(err)
-	}
-
-	want := CanaryStatus{
-		Phase: CanaryPhaseShadow, Gen: 9, ServingEpoch: 4, Samples: 321,
-		Promotions: 3, Rollbacks: 2, CohortBasisPoints: 1250,
-		FlipRate: 0.015, AnomalyDelta: 0.004, MeanShift: 0.75, QuantileShift: 1.5,
-		LastOutcome: CanaryOutcomePromoted, LastReason: "within budget",
-	}
-	buf.Reset()
-	if err := c.WriteFrame(MsgCanaryStatusOK, func(b []byte) ([]byte, error) {
-		return AppendCanaryStatusOK(b, want)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != CanaryStatusOKBytes(len(want.LastReason)) {
-		t.Fatalf("statusOK frame %d bytes, want %d", buf.Len(), CanaryStatusOKBytes(len(want.LastReason)))
-	}
-	if fr, err = c.ReadFrame(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseCanaryStatusOK(fr.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("status round trip:\n got  %+v\n want %+v", got, want)
-	}
-
-	buf.Reset()
-	if err := c.WriteFrame(MsgCanaryCtl, func(b []byte) ([]byte, error) {
-		return AppendCanaryCtl(b, CanaryPromote, "ship it")
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != CanaryCtlBytes(len("ship it")) {
-		t.Fatalf("ctl frame %d bytes, want %d", buf.Len(), CanaryCtlBytes(len("ship it")))
-	}
-	if fr, err = c.ReadFrame(); err != nil {
-		t.Fatal(err)
-	}
-	op, reason, err := ParseCanaryCtl(fr.Payload)
-	if err != nil || op != CanaryPromote || reason != "ship it" {
-		t.Fatalf("parse ctl: op %d reason %q err %v", op, reason, err)
-	}
-
-	buf.Reset()
-	if err := c.WriteFrame(MsgCanaryCtlOK, func(b []byte) ([]byte, error) {
-		return AppendCanaryCtlOK(b, 5)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != CanaryCtlOKBytes() {
-		t.Fatalf("ctlOK frame %d bytes, want %d", buf.Len(), CanaryCtlOKBytes())
-	}
-	if fr, err = c.ReadFrame(); err != nil {
-		t.Fatal(err)
-	}
-	if epoch, err := ParseCanaryCtlOK(fr.Payload); err != nil || epoch != 5 {
-		t.Fatalf("parse ctlOK: epoch %d err %v", epoch, err)
-	}
 }
 
-// TestCanaryParseRejections: malformed canary payloads fail with
+// TestCanaryParseRejections: a malformed staging answer fails with
 // ErrMalformed instead of panicking or decoding garbage.
 func TestCanaryParseRejections(t *testing.T) {
-	if _, err := ParseCanaryPushOK(nil); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("empty pushOK: %v", err)
-	}
-	if _, err := ParseCanaryStatusOK(make([]byte, canaryStatusFixedBytes-1)); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("short statusOK: %v", err)
-	}
-	if _, err := ParseCanaryStatusOK(make([]byte, canaryStatusFixedBytes)); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("statusOK missing reason length: %v", err)
-	}
-	if _, _, err := ParseCanaryCtl(nil); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("empty ctl: %v", err)
-	}
-	if _, _, err := ParseCanaryCtl([]byte{9, 0, 0}); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("unknown ctl op: %v", err)
-	}
-	if _, err := ParseCanaryCtlOK(nil); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("empty ctlOK: %v", err)
+	for _, p := range [][]byte{nil, make([]byte, 7)} {
+		if _, err := ParseCanaryPushOK(p); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("%d-byte pushOK: %v", len(p), err)
+		}
 	}
 }

@@ -74,25 +74,10 @@ func FuzzWireRoundTrip(f *testing.F) {
 		return AppendReloadOK(b, 3)
 	}))
 	f.Add(mk(MsgCanaryPush, func(b []byte) ([]byte, error) {
-		return AppendVector(AppendCanaryPush(b, 0.04), VecF64, vec, nil, nil)
+		return AppendVector(AppendReload(b, 0.04), VecF64, vec, nil, nil)
 	}))
 	f.Add(mk(MsgCanaryPushOK, func(b []byte) ([]byte, error) {
 		return AppendCanaryPushOK(b, 7)
-	}))
-	f.Add(mk(MsgCanaryStatus, nil))
-	f.Add(mk(MsgCanaryStatusOK, func(b []byte) ([]byte, error) {
-		return AppendCanaryStatusOK(b, CanaryStatus{
-			Phase: CanaryPhaseCanary, Gen: 5, ServingEpoch: 3, Samples: 640,
-			Promotions: 2, Rollbacks: 1, CohortBasisPoints: 2500,
-			FlipRate: 0.01, AnomalyDelta: 0.005, MeanShift: 0.2, QuantileShift: 1.1,
-			LastOutcome: CanaryOutcomeRolledBack, LastReason: "flip rate 0.4 > 0.05",
-		})
-	}))
-	f.Add(mk(MsgCanaryCtl, func(b []byte) ([]byte, error) {
-		return AppendCanaryCtl(b, CanaryRollback, "operator override")
-	}))
-	f.Add(mk(MsgCanaryCtlOK, func(b []byte) ([]byte, error) {
-		return AppendCanaryCtlOK(b, 4)
 	}))
 	// Malicious-update shapes from the Byzantine client wire path: a
 	// sign-flipped update (large negative coordinates), a scaled-poison
@@ -123,6 +108,19 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add([]byte("this is not a frame at all"))
 	f.Add([]byte{magic0, magic1, Version, byte(MsgTrain), 0xff, 0xff, 0xff, 0x7f}) // lying length
 	f.Add(mk(MsgHello, nil)[:5])                                                   // truncated header
+	f.Add(mk(MsgProbe, nil))
+	f.Add([]byte{magic0, magic1, Version + 1, byte(MsgScore), 0, 0, 0, 0}) // version skew
+	// A connectionless push carrying a delta-coded vector: no reference
+	// exists, so its decode must fail with ErrNoRef.
+	f.Add(mk(MsgReload, func(b []byte) ([]byte, error) {
+		return AppendVector(AppendReload(b, 0.03), VecQ8, vec, []float64{0, 0, 0, 0}, nil)
+	}))
+	// Two frames in one stream: the parse loop must carry on past the first.
+	f.Add(append(mk(MsgScore, func(b []byte) ([]byte, error) {
+		return AppendScore(b, "z", vec[:2])
+	}), mk(MsgCanaryPushOK, func(b []byte) ([]byte, error) {
+		return AppendCanaryPushOK(b, 1)
+	})...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// (a) Arbitrary inbound stream: parse a bounded number of frames.
@@ -172,17 +170,11 @@ func FuzzWireRoundTrip(f *testing.F) {
 			case MsgReloadOK:
 				_, _ = ParseReloadOK(fr.Payload)
 			case MsgCanaryPush:
-				if _, rest, err := ParseCanaryPush(fr.Payload); err == nil {
+				if _, rest, err := ParseReload(fr.Payload); err == nil {
 					_, _, _ = DecodeVector(rest, nil, nil)
 				}
 			case MsgCanaryPushOK:
 				_, _ = ParseCanaryPushOK(fr.Payload)
-			case MsgCanaryStatusOK:
-				_, _ = ParseCanaryStatusOK(fr.Payload)
-			case MsgCanaryCtl:
-				_, _, _ = ParseCanaryCtl(fr.Payload)
-			case MsgCanaryCtlOK:
-				_, _ = ParseCanaryCtlOK(fr.Payload)
 			}
 		}
 

@@ -11,7 +11,9 @@ import (
 // MsgReload frame carries a detection threshold plus a weight vector
 // (encoded with AppendVector; delta codecs are rejected — reload frames
 // are connectionless pushes with no reference state) and is answered by
-// MsgReloadOK carrying the model epoch now serving. All encodings are
+// MsgReloadOK carrying the model epoch now serving. A MsgCanaryPush frame
+// has the MsgReload layout (AppendReload, ParseReload) and is answered by
+// MsgCanaryPushOK carrying the staging generation. All encodings are
 // fixed-width, so frame sizes are exactly computable (ScoreBytes &c.).
 
 // Verdict flag bits (ScoreVerdict.Flags).
@@ -142,6 +144,19 @@ func ParseReloadOK(p []byte) (epoch int, err error) {
 	return epoch, err
 }
 
+// AppendCanaryPushOK encodes the staging generation onto b.
+func AppendCanaryPushOK(b []byte, gen uint64) ([]byte, error) {
+	return binary.LittleEndian.AppendUint64(b, gen), nil
+}
+
+// ParseCanaryPushOK decodes a MsgCanaryPushOK payload.
+func ParseCanaryPushOK(p []byte) (gen uint64, err error) {
+	if len(p) < 8 {
+		return 0, fmt.Errorf("%w: short generation", ErrMalformed)
+	}
+	return binary.LittleEndian.Uint64(p), nil
+}
+
 // ScoreBytes is the size of a MsgScore frame carrying n observations for
 // a station-ID length.
 func ScoreBytes(idLen, n int) int { return HeaderBytes + 2 + idLen + 4 + 8*n }
@@ -157,3 +172,6 @@ func ReloadBytes(codec VecCodec, n int) int {
 
 // ReloadOKBytes is the size of a MsgReloadOK frame.
 func ReloadOKBytes() int { return HeaderBytes + 4 }
+
+// CanaryPushOKBytes is the size of a MsgCanaryPushOK frame.
+func CanaryPushOKBytes() int { return HeaderBytes + 8 }

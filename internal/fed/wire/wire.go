@@ -63,28 +63,24 @@ const (
 )
 
 // Scoring-service kinds (see serve.go). MsgScore flows producer →
-// scoring service, MsgReload flows the federated coordinator's post-round
-// broadcast → scoring service; the *OK responses flow back.
+// scoring service; MsgReload (hot reload, cmd/evfedcoord -serve-reload)
+// and MsgCanaryPush (stage a canary candidate for shadow scoring instead
+// of swapping it live, -serve-canary) are the federated coordinator's
+// post-round pushes. The *OK responses flow back. Operator control of a
+// rollout (promote, rollback, status) is the service's HTTP control
+// plane, not frames.
 const (
-	MsgScore    MsgType = 8  // one station's batch of observations
-	MsgScoreOK  MsgType = 9  // per-observation verdicts
-	MsgReload   MsgType = 10 // hot model reload: threshold + weight vector
-	MsgReloadOK MsgType = 11
+	MsgScore        MsgType = 8  // one station's batch of observations
+	MsgScoreOK      MsgType = 9  // per-observation verdicts
+	MsgReload       MsgType = 10 // hot model reload: threshold + weight vector
+	MsgReloadOK     MsgType = 11
+	MsgCanaryPush   MsgType = 12 // stage candidate: same payload as MsgReload
+	MsgCanaryPushOK MsgType = 13 // staging generation
 )
 
-// Canary rollout kinds (see serve.go). MsgCanaryPush stages a candidate
-// model generation for shadow scoring instead of swapping it live (the
-// coordinator's -serve-canary post-round push); MsgCanaryStatus queries
-// the rollout state machine; MsgCanaryCtl carries operator overrides
-// (force-promote / force-rollback). The *OK responses flow back.
-const (
-	MsgCanaryPush     MsgType = 12 // stage candidate: threshold + weight vector
-	MsgCanaryPushOK   MsgType = 13 // staging generation
-	MsgCanaryStatus   MsgType = 14 // rollout status query (empty payload)
-	MsgCanaryStatusOK MsgType = 15
-	MsgCanaryCtl      MsgType = 16 // operator override: op + reason
-	MsgCanaryCtlOK    MsgType = 17
-)
+// Types 14–17 carried wire canary status and operator overrides in
+// earlier builds. They are retired, not reused: a scoring service
+// answers them with ErrCodeBadRequest like any unknown type.
 
 // Hierarchical-federation kinds. MsgTrainPartial is an aggregation node's
 // answer to MsgTrain: instead of one station's update it carries the

@@ -10,54 +10,18 @@ import (
 	"github.com/evfed/evfed/internal/autoencoder"
 )
 
-// HTTP/JSON surface. Two handlers, so a deployment can bind the data
-// plane and the control plane to different listeners:
+// HTTP/JSON control plane. Scoring is the binary wire (WireServer);
+// this surface carries operator control:
 //
-//	Handler         POST /score    {"station":"z102","value":3.1}
-//	                               {"station":"z102","values":[...]}
-//	ControlHandler  POST /reload   {"weights":[...],"threshold":0.02}
-//	                               (or a raw evfeddetect -save-model file
-//	                               as application/octet-stream)
-//	                GET  /stats    counter snapshot
-//	                GET  /healthz  liveness + serving epoch
-//
-// A full shard queue maps to 503 with Retry-After — the backpressure
-// contract over HTTP.
-
-// scoreRequest is the /score body: one station, one value or a batch of
-// consecutive values.
-type scoreRequest struct {
-	Station string    `json:"station"`
-	Value   *float64  `json:"value,omitempty"`
-	Values  []float64 `json:"values,omitempty"`
-}
-
-// verdictJSON is one verdict on the HTTP surface.
-type verdictJSON struct {
-	Station   string  `json:"station"`
-	Index     int     `json:"index"`
-	Score     float64 `json:"score"`
-	Flagged   bool    `json:"flagged"`
-	Ready     bool    `json:"ready"`
-	Value     float64 `json:"value"`
-	Mitigated float64 `json:"mitigated"`
-	Epoch     int     `json:"epoch"`
-	Canary    bool    `json:"canary,omitempty"`
-}
-
-func toJSON(v Verdict) verdictJSON {
-	return verdictJSON{
-		Station:   v.Station,
-		Index:     v.Index,
-		Score:     v.Score,
-		Flagged:   v.Flagged,
-		Ready:     v.Ready,
-		Value:     v.Value,
-		Mitigated: v.Mitigated,
-		Epoch:     v.Epoch,
-		Canary:    v.Canary,
-	}
-}
+//	POST /reload    {"weights":[...],"threshold":0.02}
+//	                (or a raw evfeddetect -save-model file as
+//	                application/octet-stream)
+//	POST /stage     same bodies as /reload, staged as a canary candidate
+//	POST /promote   force-promote the staged candidate
+//	POST /rollback  {"reason":"..."}: quarantine the staged candidate
+//	GET  /rollout   rollout state machine snapshot
+//	GET  /stats     counter snapshot
+//	GET  /healthz   liveness + serving epoch
 
 // reloadRequest is the JSON /reload body. Threshold ≤ 0 (or absent)
 // keeps the serving threshold.
@@ -73,7 +37,6 @@ type statsJSON struct {
 	Flagged        uint64 `json:"flagged"`
 	BatchCalls     uint64 `json:"batchCalls"`
 	BatchedWindows uint64 `json:"batchedWindows"`
-	SingleWindows  uint64 `json:"singleWindows"` // always 0 (Stats.SingleWindows)
 	Rejected       uint64 `json:"rejected"`
 	Stations       uint64 `json:"stations"`
 	Evicted        uint64 `json:"evicted"`
@@ -90,13 +53,6 @@ type statsJSON struct {
 	Shards            int     `json:"shards"`
 }
 
-// Handler returns the scoring data plane: POST /score.
-func (s *Service) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/score", s.handleScore)
-	return mux
-}
-
 // ControlHandler returns the control plane: POST /reload, POST /stage,
 // POST /promote, POST /rollback, GET /rollout, GET /stats, GET /healthz.
 func (s *Service) ControlHandler() http.Handler {
@@ -111,108 +67,93 @@ func (s *Service) ControlHandler() http.Handler {
 	return mux
 }
 
-func (s *Service) handleScore(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req scoreRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad score request: "+err.Error())
-		return
-	}
-	values := req.Values
-	if req.Value != nil {
-		if len(values) > 0 {
-			httpError(w, http.StatusBadRequest, `use "value" or "values", not both`)
-			return
-		}
-		values = []float64{*req.Value}
-	}
-	if len(values) == 0 {
-		httpError(w, http.StatusBadRequest, "no observations")
-		return
-	}
-	h, err := s.Station(req.Station)
-	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, ErrClosed) || errors.Is(err, ErrStationLimit) {
-			status = http.StatusServiceUnavailable
-		}
-		httpError(w, status, err.Error())
-		return
-	}
-	ch := make(chan Verdict, len(values))
-	reply := func(v Verdict) { ch <- v }
-	for i, v := range values {
-		if err := h.Submit(v, reply); err != nil {
-			// Collect what was accepted so their indices are not lost,
-			// then report the failure; the producer resubmits the rest.
-			verdicts := gather(ch, i)
-			if errors.Is(err, ErrBacklog) {
-				w.Header().Set("Retry-After", "1")
-				writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-					"error": err.Error(), "verdicts": verdicts, "rejected": len(values) - i,
-				})
-				return
-			}
-			status := http.StatusBadRequest
-			if errors.Is(err, ErrClosed) {
-				status = http.StatusServiceUnavailable
-			}
-			writeJSON(w, status, map[string]any{
-				"error": err.Error(), "verdicts": verdicts, "rejected": len(values) - i,
-			})
-			return
-		}
-	}
-	verdicts := gather(ch, len(values))
-	if len(values) == 1 {
-		writeJSON(w, http.StatusOK, verdicts[0])
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"verdicts": verdicts})
+// Model bodies on /reload and /stage are capped at bodyBytesPerWeight
+// per serving weight plus bodySlackBytes. A JSON weight takes at most 25
+// bytes ("-1.2345678901234567e-308,") and a gob-coded one at most 9, so
+// the cap admits any honest body for the serving architecture with room
+// to spare, while no client can make the decoder buffer and parse an
+// unbounded body.
+const (
+	bodyBytesPerWeight = 64
+	bodySlackBytes     = 64 << 10
+)
+
+// modelBodyLimit is the largest /reload or /stage body accepted.
+func (s *Service) modelBodyLimit() int64 {
+	return int64(s.state.Load().det.Model().NumParams())*bodyBytesPerWeight + bodySlackBytes
 }
 
-// gather collects n verdicts in submission order (the shard preserves
-// per-station order, and /score batches are single-station).
-func gather(ch <-chan Verdict, n int) []verdictJSON {
-	out := make([]verdictJSON, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, toJSON(<-ch))
+// decodeModel reads a /reload or /stage body: JSON weights (Content-Type
+// application/json), built on the serving configuration, or a raw
+// detector file (evfeddetect -save-model: configuration, weights and
+// persisted threshold in one body). A threshold ≤ 0 keeps the serving
+// one. On failure decodeModel has already answered the request.
+func (s *Service) decodeModel(w http.ResponseWriter, r *http.Request) (*autoencoder.Detector, float64, bool) {
+	if r.Method != http.MethodPost {
+		httpError(w, http.StatusMethodNotAllowed, "POST required")
+		return nil, 0, false
 	}
-	return out
+	body := http.MaxBytesReader(w, r.Body, s.modelBodyLimit())
+	if !strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
+		det, thr, err := autoencoder.LoadCalibrated(body)
+		if err != nil {
+			bodyError(w, err)
+			return nil, 0, false
+		}
+		return det, thr, true
+	}
+	var req reloadRequest
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		bodyError(w, fmt.Errorf("bad model body: %w", err))
+		return nil, 0, false
+	}
+	det, err := autoencoder.FromWeights(s.state.Load().det.Config(), req.Weights)
+	if err != nil {
+		// A well-formed vector that does not fit the serving architecture
+		// is a state conflict, not a malformed request.
+		httpError(w, http.StatusConflict, err.Error())
+		return nil, 0, false
+	}
+	return det, req.Threshold, true
+}
+
+// bodyError answers a model body that failed to decode: 413 past the
+// size cap, 400 otherwise.
+func bodyError(w http.ResponseWriter, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("model body exceeds %d bytes", tooBig.Limit))
+		return
+	}
+	httpError(w, http.StatusBadRequest, err.Error())
 }
 
 func (s *Service) handleReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
+	det, thr, ok := s.decodeModel(w, r)
+	if !ok {
 		return
 	}
-	var epoch int
-	var err error
-	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
-		var req reloadRequest
-		if derr := json.NewDecoder(r.Body).Decode(&req); derr != nil {
-			httpError(w, http.StatusBadRequest, "bad reload request: "+derr.Error())
-			return
-		}
-		epoch, err = s.ReloadWeights(req.Weights, req.Threshold)
-	} else {
-		// Raw detector file (evfeddetect -save-model): full configuration
-		// + weights + persisted threshold in one body.
-		det, thr, lerr := autoencoder.LoadCalibrated(r.Body)
-		if lerr != nil {
-			httpError(w, http.StatusBadRequest, lerr.Error())
-			return
-		}
-		epoch, err = s.Reload(det, thr)
-	}
+	epoch, err := s.Reload(det, thr)
 	if err != nil {
 		httpError(w, controlStatus(err), err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]int{"epoch": epoch})
+}
+
+// handleStage stages the model as a canary candidate instead of
+// swapping it live.
+func (s *Service) handleStage(w http.ResponseWriter, r *http.Request) {
+	det, thr, ok := s.decodeModel(w, r)
+	if !ok {
+		return
+	}
+	gen, err := s.Stage(det, thr)
+	if err != nil {
+		httpError(w, controlStatus(err), err.Error())
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]uint64{"generation": gen})
 }
 
 // controlStatus maps control-plane errors: malformed payloads are the
@@ -222,38 +163,6 @@ func controlStatus(err error) int {
 		return http.StatusBadRequest
 	}
 	return http.StatusConflict
-}
-
-// handleStage accepts the same bodies as /reload (JSON weights+threshold
-// or a raw evfeddetect -save-model file) but stages the model as a canary
-// candidate instead of swapping it live.
-func (s *Service) handleStage(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var gen uint64
-	var err error
-	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
-		var req reloadRequest
-		if derr := json.NewDecoder(r.Body).Decode(&req); derr != nil {
-			httpError(w, http.StatusBadRequest, "bad stage request: "+derr.Error())
-			return
-		}
-		gen, err = s.StageWeights(req.Weights, req.Threshold)
-	} else {
-		det, thr, lerr := autoencoder.LoadCalibrated(r.Body)
-		if lerr != nil {
-			httpError(w, http.StatusBadRequest, lerr.Error())
-			return
-		}
-		gen, err = s.Stage(det, thr)
-	}
-	if err != nil {
-		httpError(w, controlStatus(err), err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]uint64{"generation": gen})
 }
 
 func (s *Service) handlePromote(w http.ResponseWriter, r *http.Request) {
@@ -278,7 +187,9 @@ func (s *Service) handleRollback(w http.ResponseWriter, r *http.Request) {
 		Reason string `json:"reason"`
 	}
 	if r.Body != nil {
-		_ = json.NewDecoder(r.Body).Decode(&req) // reason is optional
+		// The reason is optional; an undecodable or oversized body rolls
+		// back with the default one.
+		_ = json.NewDecoder(http.MaxBytesReader(w, r.Body, bodySlackBytes)).Decode(&req)
 	}
 	if err := s.Rollback(req.Reason); err != nil {
 		httpError(w, controlStatus(err), err.Error())
@@ -299,7 +210,6 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 		Flagged:        st.Flagged,
 		BatchCalls:     st.BatchCalls,
 		BatchedWindows: st.BatchedWindows,
-		SingleWindows:  st.SingleWindows,
 		Rejected:       st.Rejected,
 		Stations:       st.Stations,
 		Evicted:        st.Evicted,

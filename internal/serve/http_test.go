@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"github.com/evfed/evfed/internal/autoencoder"
@@ -29,46 +30,46 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	return resp, buf.Bytes()
 }
 
-// TestHTTPScoreAndControl drives the full JSON surface: single and batch
-// scoring, stats, health, and a weights reload that scores subsequent
-// points on the new epoch.
+// submitBatch scores values for one station through Station.SubmitN and
+// returns the verdicts in submission order.
+func submitBatch(t *testing.T, s *Service, station string, values []float64) []Verdict {
+	t.Helper()
+	h, err := s.Station(station)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := make(chan Verdict, len(values))
+	if n, err := h.SubmitN(values, func(v Verdict) { ch <- v }); err != nil || n != len(values) {
+		t.Fatalf("submit %d values: accepted %d, err %v", len(values), n, err)
+	}
+	out := make([]Verdict, len(values))
+	for i := range out {
+		out[i] = <-ch
+	}
+	return out
+}
+
+// TestHTTPScoreAndControl drives the JSON control plane around in-process
+// scoring: a weights reload that scores subsequent points on the new
+// epoch, rejection of a misfit vector, stats and health.
 func TestHTTPScoreAndControl(t *testing.T) {
 	s := newTestService(t, Config{Shards: 2})
-	data := httptest.NewServer(s.Handler())
-	defer data.Close()
 	ctrl := httptest.NewServer(s.ControlHandler())
 	defer ctrl.Close()
 
 	// Warm the window with a batch, then score one point.
 	feed := testSeries(testSeqLen+4, 3)
-	resp, body := postJSON(t, data.URL+"/score", map[string]any{"station": "z102", "values": feed[:testSeqLen]})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch score: %d %s", resp.StatusCode, body)
+	batch := submitBatch(t, s, "z102", feed[:testSeqLen])
+	if !batch[testSeqLen-1].Ready {
+		t.Fatalf("batch verdicts: %+v", batch)
 	}
-	var batch struct {
-		Verdicts []verdictJSON `json:"verdicts"`
-	}
-	if err := json.Unmarshal(body, &batch); err != nil {
-		t.Fatal(err)
-	}
-	if len(batch.Verdicts) != testSeqLen || !batch.Verdicts[testSeqLen-1].Ready {
-		t.Fatalf("batch verdicts: %+v", batch.Verdicts)
-	}
-
-	resp, body = postJSON(t, data.URL+"/score", map[string]any{"station": "z102", "value": feed[testSeqLen]})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("single score: %d %s", resp.StatusCode, body)
-	}
-	var single verdictJSON
-	if err := json.Unmarshal(body, &single); err != nil {
-		t.Fatal(err)
-	}
+	single := submitBatch(t, s, "z102", feed[testSeqLen:testSeqLen+1])[0]
 	if single.Index != testSeqLen || !single.Ready || single.Epoch != 1 {
 		t.Fatalf("single verdict: %+v", single)
 	}
 
 	// Reload via JSON weights; next verdict carries epoch 2.
-	resp, body = postJSON(t, ctrl.URL+"/reload", map[string]any{"weights": perturbedWeights(t, 8)})
+	resp, body := postJSON(t, ctrl.URL+"/reload", map[string]any{"weights": perturbedWeights(t, 8)})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("reload: %d %s", resp.StatusCode, body)
 	}
@@ -78,20 +79,13 @@ func TestHTTPScoreAndControl(t *testing.T) {
 	if err := json.Unmarshal(body, &rl); err != nil || rl.Epoch != 2 {
 		t.Fatalf("reload body %s (err %v)", body, err)
 	}
-	resp, body = postJSON(t, data.URL+"/score", map[string]any{"station": "z102", "value": feed[testSeqLen+1]})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatal(resp.StatusCode)
-	}
-	if err := json.Unmarshal(body, &single); err != nil || single.Epoch != 2 {
-		t.Fatalf("post-reload verdict %s (err %v)", body, err)
+	if v := submitBatch(t, s, "z102", feed[testSeqLen+1:testSeqLen+2])[0]; v.Epoch != 2 {
+		t.Fatalf("post-reload verdict %+v", v)
 	}
 
-	// Bad reloads are 409; malformed bodies are 400.
+	// A vector that does not fit the serving architecture is a 409.
 	if resp, _ = postJSON(t, ctrl.URL+"/reload", map[string]any{"weights": []float64{1}}); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("short reload: %d", resp.StatusCode)
-	}
-	if resp, _ = postJSON(t, data.URL+"/score", map[string]any{"station": "z102"}); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty score: %d", resp.StatusCode)
 	}
 
 	// Stats and health reflect the traffic.
@@ -99,19 +93,72 @@ func TestHTTPScoreAndControl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st statsJSON
-	if err := json.NewDecoder(hr.Body).Decode(&st); err != nil {
+	var raw map[string]any
+	if err := json.NewDecoder(hr.Body).Decode(&raw); err != nil {
 		t.Fatal(err)
 	}
 	hr.Body.Close()
-	if st.Points != testSeqLen+2 || st.Stations != 1 || st.Epoch != 2 {
-		t.Fatalf("stats %+v", st)
+	if raw["points"] != float64(testSeqLen+2) || raw["stations"] != 1.0 || raw["epoch"] != 2.0 {
+		t.Fatalf("stats %v", raw)
+	}
+	if _, ok := raw["singleWindows"]; ok {
+		t.Fatalf("stats still carry singleWindows: %v", raw)
 	}
 	hr, err = http.Get(ctrl.URL + "/healthz")
 	if err != nil || hr.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: %v %v", hr.StatusCode, err)
 	}
 	hr.Body.Close()
+}
+
+// TestHTTPModelBodyLimit: /reload and /stage read at most
+// modelBodyLimit bytes. A JSON body of exactly the limit and a real
+// detector file pass; one byte more is 413 and leaves the model alone.
+func TestHTTPModelBodyLimit(t *testing.T) {
+	det, thr := testDetector(t)
+	s := newTestService(t, Config{Shards: 1, Rollout: testRollout()})
+	ctrl := httptest.NewServer(s.ControlHandler())
+	defer ctrl.Close()
+
+	// padded is a valid JSON weights body of exactly n bytes: the padding
+	// sits inside the value, so the decoder must read all of it.
+	weights, err := json.Marshal(perturbedWeights(t, 51))
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := func(n int64) []byte {
+		head, tail := `{"weights":`, string(weights)+"}"
+		return []byte(head + strings.Repeat(" ", int(n)-len(head)-len(tail)) + tail)
+	}
+	post := func(path, contentType string, body []byte) int {
+		t.Helper()
+		resp, err := http.Post(ctrl.URL+path, contentType, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	limit := s.modelBodyLimit()
+	if code := post("/reload", "application/json", padded(limit)); code != http.StatusOK {
+		t.Fatalf("%d-byte JSON body at the limit: %d", limit, code)
+	}
+	for _, path := range []string{"/reload", "/stage"} {
+		if code := post(path, "application/json", padded(limit+1)); code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s with a %d-byte JSON body: %d, want 413", path, limit+1, code)
+		}
+	}
+	if s.Epoch() != 2 || s.Rollout().Gen != 0 {
+		t.Fatalf("oversized bodies moved the model: epoch %d, gen %d", s.Epoch(), s.Rollout().Gen)
+	}
+	var file bytes.Buffer
+	if err := det.SaveCalibrated(&file, thr); err != nil {
+		t.Fatal(err)
+	}
+	if code := post("/reload", "application/octet-stream", file.Bytes()); code != http.StatusOK {
+		t.Fatalf("%d-byte detector file: %d", file.Len(), code)
+	}
 }
 
 // TestHTTPDetectorFileReload posts a persisted detector file

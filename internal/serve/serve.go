@@ -1,6 +1,6 @@
 // Package serve is the always-on scoring layer over the batch substrate:
-// a sharded service that ingests per-station charging observations (over
-// HTTP/JSON or the federation's binary wire framing), routes every
+// a sharded service that ingests per-station charging observations (in
+// process or over the federation's binary wire framing), routes every
 // station to a shard-owned streaming detector, and emits per-point
 // anomaly verdicts with optional reconstruction-based mitigation — the
 // paper's detection pipeline turned into a deployable online system.
@@ -61,7 +61,8 @@ var (
 	ErrBadConfig = errors.New("serve: invalid configuration")
 	ErrClosed    = errors.New("serve: service closed")
 	// ErrBacklog reports a full shard queue: the producer outran the
-	// shard and should retry after a backoff (HTTP maps it to 503).
+	// shard and should retry after a backoff (the wire server waits it
+	// out).
 	ErrBacklog = errors.New("serve: shard backlog full")
 	// ErrReload reports a rejected model reload (dimension or window
 	// mismatch, untrained detector).
@@ -563,7 +564,7 @@ func (s *Service) Reload(det *autoencoder.Detector, threshold float64) (int, err
 // ReloadWeights is Reload from a flat weight vector: a fresh detector
 // with the serving configuration is built around a private copy of
 // weights (the caller may reuse its buffer). This is the entry point the
-// federated coordinator's OnRound hook and the wire/HTTP control planes
+// federated coordinator's OnRound hook and the wire MsgReload push
 // use. The vector's dimension must match the serving architecture.
 func (s *Service) ReloadWeights(weights []float64, threshold float64) (int, error) {
 	if i := mat.FirstNonFinite(weights); i >= 0 {

@@ -12,10 +12,11 @@ import (
 
 // WireServer exposes a Service over the federation's binary framing: one
 // persistent TCP connection per producer, MsgScore in / MsgScoreOK out,
-// plus MsgReload for hot model pushes (the federated coordinator's
-// post-round broadcast speaks this). One MsgScore frame carries one
-// station's batch of consecutive observations; the response carries their
-// verdicts in submission order.
+// plus the federated coordinator's post-round model pushes, MsgReload
+// (hot reload) and MsgCanaryPush (stage a candidate). One MsgScore frame
+// carries one station's batch of consecutive observations; the response
+// carries their verdicts in submission order. Operator control (promote,
+// rollback, rollout status) is the HTTP ControlHandler only.
 type WireServer struct {
 	svc  *Service
 	ln   net.Listener
@@ -171,7 +172,7 @@ func (ws *WireServer) handle(conn net.Conn) {
 				return
 			}
 		case wire.MsgCanaryPush:
-			threshold, vecPayload, perr := wire.ParseCanaryPush(fr.Payload)
+			threshold, vecPayload, perr := wire.ParseReload(fr.Payload)
 			if perr != nil {
 				ws.respondError(wc, wire.ErrorMsg{Code: wire.ErrCodeBadRequest, PeerVersion: wire.Version, Text: perr.Error()})
 				return
@@ -188,34 +189,6 @@ func (ws *WireServer) handle(conn net.Conn) {
 			}
 			if werr := wc.WriteFrame(wire.MsgCanaryPushOK, func(b []byte) ([]byte, error) {
 				return wire.AppendCanaryPushOK(b, gen)
-			}); werr != nil {
-				return
-			}
-		case wire.MsgCanaryStatus:
-			st := toWireStatus(ws.svc.Rollout())
-			if werr := wc.WriteFrame(wire.MsgCanaryStatusOK, func(b []byte) ([]byte, error) {
-				return wire.AppendCanaryStatusOK(b, st)
-			}); werr != nil {
-				return
-			}
-		case wire.MsgCanaryCtl:
-			op, reason, perr := wire.ParseCanaryCtl(fr.Payload)
-			if perr != nil {
-				ws.respondError(wc, wire.ErrorMsg{Code: wire.ErrCodeBadRequest, PeerVersion: wire.Version, Text: perr.Error()})
-				return
-			}
-			var cerr error
-			if op == wire.CanaryPromote {
-				_, cerr = ws.svc.Promote()
-			} else {
-				cerr = ws.svc.Rollback(reason)
-			}
-			if cerr != nil {
-				ws.respondError(wc, wire.ErrorMsg{Code: wire.ErrCodeApp, PeerVersion: wire.Version, Text: cerr.Error()})
-				continue
-			}
-			if werr := wc.WriteFrame(wire.MsgCanaryCtlOK, func(b []byte) ([]byte, error) {
-				return wire.AppendCanaryCtlOK(b, ws.svc.Epoch())
 			}); werr != nil {
 				return
 			}
@@ -286,36 +259,6 @@ func toWire(v Verdict) wire.ScoreVerdict {
 		Score:     v.Score,
 		Mitigated: v.Mitigated,
 	}
-}
-
-// toWireStatus flattens a RolloutStatus onto the fixed wire snapshot.
-func toWireStatus(st RolloutStatus) wire.CanaryStatus {
-	out := wire.CanaryStatus{
-		Gen:               st.Gen,
-		ServingEpoch:      uint32(st.ServingEpoch),
-		Samples:           st.Samples,
-		Promotions:        st.Promotions,
-		Rollbacks:         st.Rollbacks,
-		CohortBasisPoints: uint16(st.CohortFraction * 10000),
-		FlipRate:          st.Divergence.FlipRate,
-		AnomalyDelta:      st.Divergence.AnomalyDelta,
-		MeanShift:         st.Divergence.MeanShift,
-		QuantileShift:     st.Divergence.QuantileShift,
-		LastReason:        st.LastReason,
-	}
-	switch st.Phase {
-	case PhaseShadow.String():
-		out.Phase = wire.CanaryPhaseShadow
-	case PhaseCanary.String():
-		out.Phase = wire.CanaryPhaseCanary
-	}
-	switch st.LastOutcome {
-	case OutcomePromoted:
-		out.LastOutcome = wire.CanaryOutcomePromoted
-	case OutcomeRolledBack:
-		out.LastOutcome = wire.CanaryOutcomeRolledBack
-	}
-	return out
 }
 
 func (ws *WireServer) respondError(wc *wire.Conn, e wire.ErrorMsg) {
@@ -412,7 +355,7 @@ func (c *WireClient) exchange(t wire.MsgType, build func([]byte) ([]byte, error)
 // generation.
 func (c *WireClient) StageCanary(weights []float64, threshold float64, codec wire.VecCodec) (uint64, error) {
 	fr, err := c.exchange(wire.MsgCanaryPush, func(b []byte) ([]byte, error) {
-		return wire.AppendVector(wire.AppendCanaryPush(b, threshold), codec, weights, nil, nil)
+		return wire.AppendVector(wire.AppendReload(b, threshold), codec, weights, nil, nil)
 	})
 	if err != nil {
 		return 0, err
@@ -421,40 +364,6 @@ func (c *WireClient) StageCanary(weights []float64, threshold float64, codec wir
 		return 0, fmt.Errorf("serve: unexpected response type %d", fr.Type)
 	}
 	return wire.ParseCanaryPushOK(fr.Payload)
-}
-
-// CanaryStatus queries the rollout state machine.
-func (c *WireClient) CanaryStatus() (wire.CanaryStatus, error) {
-	fr, err := c.exchange(wire.MsgCanaryStatus, nil)
-	if err != nil {
-		return wire.CanaryStatus{}, err
-	}
-	if fr.Type != wire.MsgCanaryStatusOK {
-		return wire.CanaryStatus{}, fmt.Errorf("serve: unexpected response type %d", fr.Type)
-	}
-	return wire.ParseCanaryStatusOK(fr.Payload)
-}
-
-// Promote force-promotes the staged candidate; Rollback force-quarantines
-// it with reason. Both return the serving epoch after the override.
-func (c *WireClient) Promote() (int, error) { return c.canaryCtl(wire.CanaryPromote, "") }
-
-// Rollback force-quarantines the staged candidate with reason.
-func (c *WireClient) Rollback(reason string) (int, error) {
-	return c.canaryCtl(wire.CanaryRollback, reason)
-}
-
-func (c *WireClient) canaryCtl(op wire.CanaryOp, reason string) (int, error) {
-	fr, err := c.exchange(wire.MsgCanaryCtl, func(b []byte) ([]byte, error) {
-		return wire.AppendCanaryCtl(b, op, reason)
-	})
-	if err != nil {
-		return 0, err
-	}
-	if fr.Type != wire.MsgCanaryCtlOK {
-		return 0, fmt.Errorf("serve: unexpected response type %d", fr.Type)
-	}
-	return wire.ParseCanaryCtlOK(fr.Payload)
 }
 
 // PushReload dials addr, pushes weights (+ threshold, ≤ 0 to keep) with

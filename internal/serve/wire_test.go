@@ -107,10 +107,11 @@ func TestWireReload(t *testing.T) {
 	}
 }
 
-// TestWireCanaryControl: the MsgCanary* control plane over one
-// persistent connection — stage, status, operator promote, restage,
-// operator rollback — plus app-level rejections that keep the connection
-// alive.
+// TestWireCanaryControl: MsgCanaryPush stages a candidate over the wire
+// without an epoch bump, restages under f32 on one persistent connection
+// and rejects NaN weights without closing it. Operator overrides and
+// status are the in-process API (HTTP /promote, /rollback and /rollout
+// front it; TestHTTPRollout).
 func TestWireCanaryControl(t *testing.T) {
 	s := newTestService(t, Config{Shards: 1, Rollout: testRollout()})
 	ws, err := ListenWire(s, "127.0.0.1:0")
@@ -127,28 +128,22 @@ func TestWireCanaryControl(t *testing.T) {
 	if s.Epoch() != 1 {
 		t.Fatalf("staging swapped the live model: epoch %d", s.Epoch())
 	}
+	if st := s.Rollout(); st.Phase != PhaseShadow.String() || st.Gen != 1 || st.ServingEpoch != 1 {
+		t.Fatalf("status %+v", st)
+	}
+	epoch, err := s.Promote()
+	if err != nil || epoch != 2 || s.Epoch() != 2 {
+		t.Fatalf("promote: epoch %d, err %v", epoch, err)
+	}
+	if err = s.Rollback("nothing staged"); err == nil {
+		t.Fatal("rollback without a candidate succeeded")
+	}
 
 	c, err := DialWire(ws.Addr(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	st, err := c.CanaryStatus()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Phase != wire.CanaryPhaseShadow || st.Gen != 1 || st.ServingEpoch != 1 {
-		t.Fatalf("status %+v", st)
-	}
-	epoch, err := c.Promote()
-	if err != nil || epoch != 2 || s.Epoch() != 2 {
-		t.Fatalf("promote: epoch %d, err %v", epoch, err)
-	}
-
-	// Connection survives an application-level rejection (no candidate).
-	if _, err = c.Rollback("nothing staged"); err == nil || !strings.Contains(err.Error(), "remote") {
-		t.Fatalf("rollback without candidate: %v", err)
-	}
 	if gen, err = c.StageCanary(w, 0, wire.VecF32); err != nil || gen != 2 {
 		t.Fatalf("restage: gen %d, err %v", gen, err)
 	}
@@ -158,13 +153,14 @@ func TestWireCanaryControl(t *testing.T) {
 	if _, err = c.StageCanary(bad, 0, wire.VecF64); err == nil || !strings.Contains(err.Error(), "non-finite") {
 		t.Fatalf("NaN stage: %v", err)
 	}
-	if epoch, err = c.Rollback("operator says no"); err != nil || epoch != 2 {
-		t.Fatalf("rollback: epoch %d, err %v", epoch, err)
+	if _, err = c.Score("z102", []float64{0.5}); err != nil {
+		t.Fatalf("score after a rejected stage: %v", err)
 	}
-	if st, err = c.CanaryStatus(); err != nil {
-		t.Fatal(err)
+
+	if err = s.Rollback("operator says no"); err != nil || s.Epoch() != 2 {
+		t.Fatalf("rollback: epoch %d, err %v", s.Epoch(), err)
 	}
-	if st.Phase != wire.CanaryPhaseNone || st.LastOutcome != wire.CanaryOutcomeRolledBack ||
+	if st := s.Rollout(); st.Phase != PhaseNone.String() || st.LastOutcome != OutcomeRolledBack ||
 		st.LastReason != "operator says no" || st.Promotions != 1 || st.Rollbacks != 1 {
 		t.Fatalf("final status %+v", st)
 	}
