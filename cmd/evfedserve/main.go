@@ -153,7 +153,7 @@ func run(fs *flag.FlagSet, args []string, onStart func(started) (stop <-chan str
 		if lerr != nil {
 			return lerr
 		}
-		ctrl = &http.Server{Handler: svc.ControlHandler()}
+		ctrl = controlServer(svc.ControlHandler())
 		go ctrl.Serve(ln)
 		defer ctrl.Close()
 		st.ReloadAddr = ln.Addr().String()
@@ -317,4 +317,22 @@ func trainSynthetic(quick bool, seed uint64) (*autoencoder.Detector, float64, er
 		return nil, 0, err
 	}
 	return det, thr, nil
+}
+
+// The control plane's HTTP timeouts: a client must finish its request
+// header within controlReadHeaderTimeout, and a keep-alive connection
+// idle for controlIdleTimeout is closed, so a stalled or abandoned
+// client cannot hold a connection and its goroutine for ever.
+const (
+	controlReadHeaderTimeout = 5 * time.Second
+	controlIdleTimeout       = 2 * time.Minute
+)
+
+// controlServer is the operator control plane's http.Server.
+func controlServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: controlReadHeaderTimeout,
+		IdleTimeout:       controlIdleTimeout,
+	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -339,5 +341,35 @@ func TestServeSnapshotResume(t *testing.T) {
 	close(stop2)
 	if err := <-done2; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestControlServerDropsHalfHeader: a client that sends half a request
+// header and stalls is disconnected once controlReadHeaderTimeout
+// passes, instead of holding its connection for ever.
+func TestControlServerDropsHalfHeader(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := controlServer(http.NotFoundHandler())
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("GET /healthz HTTP/1.1\r\nHost: x\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(start.Add(controlReadHeaderTimeout + 5*time.Second))
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("connection still open after %v: %v", time.Since(start), err)
+	}
+	if waited := time.Since(start); waited < controlReadHeaderTimeout/2 {
+		t.Fatalf("dropped after %v, before the %v header timeout", waited, controlReadHeaderTimeout)
 	}
 }

@@ -26,12 +26,15 @@ type Aggregator interface {
 }
 
 // StreamAggregator accumulates one round's updates incrementally. Begin
-// resets the (retained, reused) scratch for a round, Add folds one update
-// in — for mean-family rules the weight vector is consumed immediately
-// via axpy kernels and may be released by the caller; rank-based rules
-// retain a reference to the slice until Finish — and Finish writes the
-// aggregate into dst (length dim) and drops any retained references.
-// After a warm round, Begin/Add/Finish perform no allocation.
+// resets the (retained, reused) scratch for a round, Add validates one
+// update and folds it in, and Finish writes the aggregate into dst
+// (length dim) and drops any retained references. Every rule may keep a
+// reference to an added update's Weights, so the caller must not modify
+// the slice until the round ends: mean-family rules hold up to three
+// pending vectors and fold them four at a time (mat.AxpyComp4), flushing
+// the rest at Finish, ExportPartial or AddPartial; rank-based rules hold
+// every vector until Finish. After a warm round, Begin/Add/Finish
+// perform no allocation.
 //
 // Updates must be added in a deterministic order (the coordinator uses
 // client-index order) for bit-reproducible aggregation.
@@ -75,11 +78,13 @@ func checkUpdateDim(u *Update, dim int) error {
 }
 
 // meanStream streams FedAvg (weighted) or the uniform mean: updates fold
-// into one reusable accumulator via compensated axpy, so no per-client
-// copy survives the Add call. The Neumaier compensation (acc + comp
-// carries the running sum to ~2× working precision) is what makes
-// hierarchical rounds exact: an edge ships (acc, comp) losslessly and the
-// root's merged fold reproduces the flat single-coordinator fold.
+// into one reusable accumulator via compensated axpy, four at a time, so
+// no per-client copy is made and at most three vectors wait to be
+// folded. The compensation (acc + comp carries the running sum to ~2×
+// working precision) is what makes hierarchical rounds exact: an edge
+// ships (acc, comp) losslessly and the root's merged fold reproduces the
+// flat single-coordinator fold. A four-update pass has the bits of four
+// single folds, so when the stream flushes does not change the result.
 type meanStream struct {
 	name     string
 	weighted bool
@@ -88,6 +93,11 @@ type meanStream struct {
 	comp     []float64
 	total    float64
 	count    int
+	// pending holds the validated updates not yet folded, in Add order,
+	// with their FedAvg weights; npending ≤ 3 between calls.
+	pending  [4][]float64
+	pendingW [4]float64
+	npending int
 }
 
 func (s *meanStream) Name() string { return s.name }
@@ -104,6 +114,7 @@ func (s *meanStream) Begin(dim, clients int) {
 	s.dim = dim
 	s.total = 0
 	s.count = 0
+	s.dropPending()
 }
 
 func (s *meanStream) Add(u *Update) error {
@@ -118,13 +129,34 @@ func (s *meanStream) Add(u *Update) error {
 		}
 		w = float64(u.NumSamples)
 	}
-	mat.AxpyComp(w, s.acc, s.comp, u.Weights)
+	s.pending[s.npending] = u.Weights
+	s.pendingW[s.npending] = w
+	s.npending++
+	if s.npending == len(s.pending) {
+		mat.AxpyComp4(s.pendingW, s.acc, s.comp, s.pending)
+		s.dropPending()
+	}
 	s.total += w
 	s.count++
 	return nil
 }
 
+// flush folds the pending updates one at a time, in Add order.
+func (s *meanStream) flush() {
+	for i := 0; i < s.npending; i++ {
+		mat.AxpyComp(s.pendingW[i], s.acc, s.comp, s.pending[i])
+	}
+	s.dropPending()
+}
+
+// dropPending forgets the pending updates, releasing their vectors.
+func (s *meanStream) dropPending() {
+	s.pending = [4][]float64{}
+	s.npending = 0
+}
+
 func (s *meanStream) Finish(dst []float64) ([]float64, error) {
+	s.flush()
 	if s.count == 0 {
 		return nil, ErrNoClients
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/evfed/evfed/internal/mat"
 	"github.com/evfed/evfed/internal/rng"
 )
 
@@ -135,6 +136,94 @@ func TestRankAggregateMatchesSortReference(t *testing.T) {
 
 // Acceptance gate: the coordinator's aggregation step — Begin, one Add
 // per client, Finish into a retained destination — allocates nothing in
+// TestMeanStreamBatchingMatchesSingleFolds holds the four-at-a-time fold
+// to one mat.AxpyComp per update, bit for bit: 1…9 updates, with a
+// downstream partial merged and the fold exported mid-stream at every
+// position, for both mean rules. Exported partials and the finished mean
+// must equal the reference fold's state at the same point.
+func TestMeanStreamBatchingMatchesSingleFolds(t *testing.T) {
+	const dim = 37 // a tail after the eight- and four-lane passes
+	bitsEqual := func(a, b []float64) bool {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return len(a) == len(b)
+	}
+	r := rng.New(71)
+	hi, lo := make([]float64, dim), make([]float64, dim)
+	for i := range hi {
+		hi[i], lo[i] = r.Normal(0, 100), r.Normal(0, 1e-14)
+	}
+	for _, weighted := range []bool{true, false} {
+		agg := Aggregator(MeanAggregator{})
+		kind := PartialWeighted
+		if !weighted {
+			agg, kind = UniformAggregator{}, PartialUniform
+		}
+		st := NewStream(agg).(*meanStream)
+		for n := 1; n <= 9; n++ {
+			ups := randomUpdates(t, uint64(100+n), n, dim)
+			for mergeAt := 0; mergeAt <= n; mergeAt++ {
+				for exportAt := 0; exportAt <= n; exportAt++ {
+					acc, comp := make([]float64, dim), make([]float64, dim)
+					total := 0.0
+					st.Begin(dim, n)
+					var exported Partial
+					for i := 0; i <= n; i++ {
+						if i == mergeAt {
+							p := Partial{NodeID: "e", Kind: kind, Dim: dim, WeightTotal: 7, Count: 2, AccHi: hi, AccLo: lo}
+							if err := st.AddPartial(&p); err != nil {
+								t.Fatal(err)
+							}
+							mat.AxpyComp(1, acc, comp, hi)
+							mat.AddVec(comp, lo)
+							total += 7
+						}
+						if i == exportAt {
+							err := st.ExportPartial(&exported)
+							switch {
+							case total == 0:
+								if !errors.Is(err, ErrNoClients) {
+									t.Fatalf("export of an empty fold: %v, want ErrNoClients", err)
+								}
+							case err != nil:
+								t.Fatal(err)
+							case !bitsEqual(exported.AccHi, acc) || !bitsEqual(exported.AccLo, comp) || exported.WeightTotal != total:
+								t.Fatalf("weighted=%v n=%d merge@%d export@%d: exported partial differs from single folds",
+									weighted, n, mergeAt, exportAt)
+							}
+						}
+						if i == n {
+							break
+						}
+						if err := st.Add(&ups[i]); err != nil {
+							t.Fatal(err)
+						}
+						w := 1.0
+						if weighted {
+							w = float64(ups[i].NumSamples)
+						}
+						mat.AxpyComp(w, acc, comp, ups[i].Weights)
+						total += w
+					}
+					got, err := st.Finish(make([]float64, dim))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range got {
+						if want := (acc[i] + comp[i]) * (1 / total); math.Float64bits(got[i]) != math.Float64bits(want) {
+							t.Fatalf("weighted=%v n=%d merge@%d export@%d coordinate %d: %v, single folds %v",
+								weighted, n, mergeAt, exportAt, i, got[i], want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // steady state, for every built-in aggregator.
 func TestStreamAggregatorsSteadyStateAllocFree(t *testing.T) {
 	const dim, clients = 2048, 8

@@ -204,6 +204,12 @@ type Client struct {
 	// simRef is the reusable downlink-reconstruction buffer for codec
 	// simulation (see LocalTrainConfig.Codec).
 	simRef []float64
+	// trainer, adam and proxRef carry the local fit's buffers from round
+	// to round; each Train resets them, so rounds stay bit-identical to
+	// fresh fits.
+	trainer nn.Trainer
+	adam    *nn.Adam
+	proxRef []float64
 }
 
 var _ ClientHandle = (*Client)(nil)
@@ -298,10 +304,15 @@ func (c *Client) Train(global []float64, cfg LocalTrainConfig) (Update, error) {
 	if err := c.model.SetWeightsVector(ref); err != nil {
 		return Update{}, fmt.Errorf("fed: client %s: install global weights: %w", c.id, err)
 	}
+	if c.adam == nil {
+		c.adam = nn.NewAdam(cfg.LearningRate)
+	}
+	c.adam.LR = cfg.LearningRate
+	c.adam.Reset()
 	tc := nn.TrainConfig{
 		Epochs:    cfg.Epochs,
 		BatchSize: cfg.BatchSize,
-		Optimizer: nn.NewAdam(cfg.LearningRate),
+		Optimizer: c.adam,
 		Loss:      nn.MSE{},
 		Shuffle:   true,
 		Seed:      c.seed + uint64(cfg.Round)*1000003,
@@ -310,12 +321,11 @@ func (c *Client) Train(global []float64, cfg LocalTrainConfig) (Update, error) {
 	}
 	if cfg.ProximalMu > 0 {
 		tc.ProxMu = cfg.ProximalMu
-		prox := make([]float64, len(ref))
-		copy(prox, ref)
-		tc.ProxRef = prox
+		c.proxRef = append(c.proxRef[:0], ref...)
+		tc.ProxRef = c.proxRef
 	}
 	start := time.Now()
-	hist, err := nn.Fit(c.model, c.inputs, c.targets, tc)
+	hist, err := c.trainer.Fit(c.model, c.inputs, c.targets, tc)
 	if err != nil {
 		return Update{}, fmt.Errorf("fed: client %s: local fit: %w", c.id, err)
 	}

@@ -3,6 +3,7 @@ package fed
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -310,5 +311,64 @@ func TestFederatedBeatsIsolatedOnSharedStructure(t *testing.T) {
 	}
 	if evalMSE(m) >= evalMSE(fresh) {
 		t.Fatalf("federated model (%v) no better than untrained (%v)", evalMSE(m), evalMSE(fresh))
+	}
+}
+
+// TestClientTrainWarmRoundAllocations pins the client's buffer reuse:
+// after its first round, a Train call allocates nothing that grows with
+// the model except the weight vector it returns. The gradient sets,
+// workspace arenas, optimizer moments and proximal reference all carry
+// over, so a warm round's bytes beyond that vector stay under a budget
+// far below one more model-sized buffer. The allocation counter is
+// process-wide, so the fewest bytes over three warm rounds is what must
+// fit. Every round's update must still equal, bit for bit, what a
+// freshly built client returns for it.
+func TestClientTrainWarmRoundAllocations(t *testing.T) {
+	spec := nn.ForecasterSpec(50, 10)
+	values := clientSeries(60, 0, 91)
+	c, err := NewClient("warm", spec, values, 12, 91)
+	if err != nil {
+		t.Fatal(err)
+	}
+	global := c.Model().WeightsVector()
+	vecBytes := uint64(8 * len(global))
+	for _, workers := range []int{1, 2} {
+		least := uint64(math.MaxUint64)
+		for round := 0; round < 4; round++ {
+			cfg := LocalTrainConfig{Epochs: 2, BatchSize: 32, LearningRate: 1e-3, Workers: workers,
+				Round: round, ProximalMu: 0.01, Codec: CodecQ8}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			u, err := c.Train(global, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			fresh, err := NewClient("warm", spec, values, 12, 91)
+			if err != nil {
+				t.Fatal(err)
+			}
+			uf, err := fresh.Train(global, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range u.Weights {
+				if math.Float64bits(u.Weights[i]) != math.Float64bits(uf.Weights[i]) {
+					t.Fatalf("workers=%d round %d: weight %d is %v, a fresh client's %v",
+						workers, round, i, u.Weights[i], uf.Weights[i])
+				}
+			}
+			if math.Float64bits(u.FinalLoss) != math.Float64bits(uf.FinalLoss) {
+				t.Fatalf("workers=%d round %d: loss %v, a fresh client's %v", workers, round, u.FinalLoss, uf.FinalLoss)
+			}
+			global = u.Weights
+			if round > 0 { // the first round of a worker count sizes the buffers
+				least = min(least, after.TotalAlloc-before.TotalAlloc-vecBytes)
+			}
+		}
+		if least > vecBytes/4 {
+			t.Fatalf("workers=%d: a warm Train allocated at least %d bytes beyond its %d-byte update",
+				workers, least, vecBytes)
+		}
 	}
 }

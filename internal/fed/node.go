@@ -259,7 +259,7 @@ func (nd *node) runRound(round int, selected []int, global []float64, ltc LocalT
 			rep.BytesDown += nd.downBytes(dim, wasFull)
 			rep.BytesUp += nd.upBytes(dim, len(u.ClientID))
 			nd.sentFull[i] = true
-			updates[i] = nil // release: mean-family rules consume it via axpy
+			updates[i] = nil // the stream holds it at most until the round ends
 			if nonFinite[i] != nil {
 				// The frame itself arrived intact as far as the transport is
 				// concerned (traffic counted, reference committed like an

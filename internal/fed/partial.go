@@ -14,7 +14,7 @@ type PartialKind uint8
 
 const (
 	// PartialWeighted is a sample-weighted partial sum (FedAvg): the edge
-	// ships its Neumaier-compensated accumulator (hi + compensation), so
+	// ships its compensated accumulator (hi + compensation), so
 	// the root's merged fold matches a flat single-coordinator fold at
 	// full float64 precision.
 	PartialWeighted PartialKind = iota
@@ -68,7 +68,7 @@ type Partial struct {
 	WeightTotal float64
 	// Count is the number of folded (or held) downstream updates.
 	Count int
-	// AccHi and AccLo are the Neumaier-compensated partial sum: high word
+	// AccHi and AccLo are the compensated partial sum: high word
 	// and accumulated compensation. Shipped as raw float64 so the root
 	// merge is lossless regardless of the tree's wire codec.
 	AccHi, AccLo []float64
@@ -127,10 +127,10 @@ func (s *meanStream) kind() PartialKind {
 	return PartialUniform
 }
 
-// AddPartial merges a folded partial: Neumaier-add the partial's high
-// word into the accumulator, then fold its compensation straight into
-// ours. Exact weight totals (integer-valued float64) keep the divisor
-// identical to a flat fold's.
+// AddPartial merges a folded partial: flush the pending updates, then
+// compensated-add the partial's high word into the accumulator and fold
+// its compensation straight into ours. Exact weight totals
+// (integer-valued float64) keep the divisor identical to a flat fold's.
 func (s *meanStream) AddPartial(p *Partial) error {
 	if p.Kind != s.kind() {
 		return fmt.Errorf("%w: node %s sent partial kind %d, aggregator %s wants %d",
@@ -144,6 +144,7 @@ func (s *meanStream) AddPartial(p *Partial) error {
 		return fmt.Errorf("%w: node %s partial folds %d clients (weight %v)",
 			ErrBadConfig, p.NodeID, p.Count, p.WeightTotal)
 	}
+	s.flush()
 	mat.AxpyComp(1, s.acc, s.comp, p.AccHi)
 	mat.AddVec(s.comp, p.AccLo)
 	s.total += p.WeightTotal
@@ -153,6 +154,7 @@ func (s *meanStream) AddPartial(p *Partial) error {
 
 // ExportPartial implements partialStream for the mean family.
 func (s *meanStream) ExportPartial(p *Partial) error {
+	s.flush()
 	if s.count == 0 {
 		return ErrNoClients
 	}

@@ -47,8 +47,19 @@ type ScoreVerdict struct {
 // scoreVerdictBytes is the fixed wire size of one encoded ScoreVerdict.
 const scoreVerdictBytes = 8 + 1 + 4 + 8 + 8
 
+// MaxScorePoints caps the observations one MsgScore frame may carry. The
+// service scores a frame's points before it answers, and every other
+// station on that shard waits behind them, so a frame must stay a small
+// batch: 4,096 points take ≈ 0.1 s on one shard with a SeqLen-8 detector.
+// The largest frame any producer in this repository sends is 100 points
+// (cmd/evfedserve's smoke tests).
+const MaxScorePoints = 4096
+
 // AppendScore encodes a station ID and its observation batch onto b.
 func AppendScore(b []byte, station string, values []float64) ([]byte, error) {
+	if len(values) > MaxScorePoints {
+		return nil, fmt.Errorf("%w: %d observations in one frame, cap %d", ErrMalformed, len(values), MaxScorePoints)
+	}
 	b, err := appendString(b, station)
 	if err != nil {
 		return nil, err
@@ -58,7 +69,8 @@ func AppendScore(b []byte, station string, values []float64) ([]byte, error) {
 }
 
 // ParseScore decodes a MsgScore payload, appending the observations onto
-// dst[:0] (pass nil to allocate).
+// dst[:0] (pass nil to allocate). A count over MaxScorePoints is refused
+// before any observation is decoded.
 func ParseScore(p []byte, dst []float64) (station string, values []float64, err error) {
 	if station, p, err = parseString(p); err != nil {
 		return "", nil, err
@@ -66,6 +78,9 @@ func ParseScore(p []byte, dst []float64) (station string, values []float64, err 
 	n, p, err := parseU32(p)
 	if err != nil {
 		return "", nil, err
+	}
+	if n > MaxScorePoints {
+		return "", nil, fmt.Errorf("%w: %d observations in one frame, cap %d", ErrMalformed, n, MaxScorePoints)
 	}
 	if len(p) != 8*n {
 		return "", nil, fmt.Errorf("%w: %d observation bytes for count %d", ErrMalformed, len(p), n)

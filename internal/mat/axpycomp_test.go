@@ -77,9 +77,22 @@ func TestAxpyCompGroupedMatchesFlat(t *testing.T) {
 	}
 }
 
-// refAxpyComp is a verbatim copy of the scalar Neumaier loop, the
+// refAxpyComp is a verbatim copy of the scalar TwoSum loop, the
 // reference the vector kernel must reproduce bit for bit.
 func refAxpyComp(alpha float64, dst, comp, src []float64) {
+	for i, v := range src {
+		t := float64(alpha * v)
+		d := dst[i]
+		s := d + t
+		bb := s - d
+		comp[i] += (d - (s - bb)) + (t - bb)
+		dst[i] = s
+	}
+}
+
+// neumaierAxpyComp is the fold's earlier step, Neumaier's
+// magnitude-compare form of Fast2Sum.
+func neumaierAxpyComp(alpha float64, dst, comp, src []float64) {
 	for i, v := range src {
 		t := float64(alpha * v)
 		s := dst[i] + t
@@ -154,6 +167,107 @@ func TestAxpyCompMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestTwoSumMatchesNeumaier holds the TwoSum fold to the Neumaier step it
+// replaced, bit for bit, on finite inputs whose sums do not overflow:
+// both compute the exact rounding error of every addition. It folds ten
+// updates into each of 200,000 lanes drawn from wide magnitudes,
+// subnormals, signed zeros and near-cancelling pairs, with α up to 1e100,
+// through the kernel in use and through the scalar loop.
+func TestTwoSumMatchesNeumaier(t *testing.T) {
+	const n, folds = 200_000, 10
+	r := rng.New(31)
+	draw := func() float64 {
+		sign := float64(1 - 2*r.Intn(2))
+		switch r.Intn(6) {
+		case 0:
+			return sign * math.SmallestNonzeroFloat64 * float64(1+r.Intn(1<<20))
+		case 1:
+			return math.Copysign(0, sign)
+		default:
+			return sign * math.Pow(10, r.Range(-300, 150))
+		}
+	}
+	dst, comp := make([]float64, n), make([]float64, n)
+	for i := range dst {
+		dst[i] = draw()
+	}
+	scalarDst, scalarComp := append([]float64(nil), dst...), append([]float64(nil), comp...)
+	wantDst, wantComp := append([]float64(nil), dst...), append([]float64(nil), comp...)
+	src := make([]float64, n)
+	for f := 0; f < folds; f++ {
+		alpha := []float64{1, -1, 57, 0.37, -2.5e-3, 1e100, -1e-100, 3}[f%8]
+		for i := range src {
+			src[i] = draw()
+			// Near-cancellation: t ≈ −dst, off by a few ulps, where the
+			// source stays in the drawn range.
+			if c := -dst[i] / alpha * (1 + float64(r.Intn(9)-4)*0x1p-52); r.Intn(4) == 0 && math.Abs(c) < 1e150 {
+				src[i] = c
+			}
+		}
+		AxpyComp(alpha, dst, comp, src)
+		refAxpyComp(alpha, scalarDst, scalarComp, src)
+		neumaierAxpyComp(alpha, wantDst, wantComp, src)
+	}
+	for i := range dst {
+		for _, got := range [][2]float64{{dst[i], comp[i]}, {scalarDst[i], scalarComp[i]}} {
+			if math.IsInf(wantDst[i], 0) || math.IsNaN(wantComp[i]) {
+				t.Fatalf("lane %d overflowed: (%v, %v); the draw must stay finite", i, wantDst[i], wantComp[i])
+			}
+			if math.Float64bits(got[0]) != math.Float64bits(wantDst[i]) ||
+				math.Float64bits(got[1]) != math.Float64bits(wantComp[i]) {
+				t.Fatalf("lane %d: TwoSum (%v, %v), Neumaier (%v, %v)",
+					i, got[0], got[1], wantDst[i], wantComp[i])
+			}
+		}
+	}
+}
+
+// TestAxpyComp4MatchesAxpyComp folds updates four at a time through
+// AxpyComp4 and one at a time through AxpyComp, for every length 0…67
+// (every tail of the four- and eight-lane passes), over the special values
+// of TestAxpyCompMatchesScalar, and requires the same bits, NaN payloads
+// included.
+func TestAxpyComp4MatchesAxpyComp(t *testing.T) {
+	r := rng.New(37)
+	alphas := [4]float64{1, -2.5e3, 1e300, 0.37}
+	for n := 0; n <= 67; n++ {
+		for trial := 0; trial < 4; trial++ {
+			draw := func() float64 {
+				if trial%2 == 1 {
+					return specialValue(r)
+				}
+				return float64(1-2*r.Intn(2)) * math.Pow(10, r.Range(-15, 15))
+			}
+			// Offset by one element so the vector loads are unaligned.
+			dst, comp := make([]float64, n+1)[1:], make([]float64, n+1)[1:]
+			for i := range dst {
+				dst[i], comp[i] = draw(), draw()*1e-17
+			}
+			wantDst, wantComp := append([]float64(nil), dst...), append([]float64(nil), comp...)
+			for pass := 0; pass < 3; pass++ {
+				var src [4][]float64
+				for j := range src {
+					src[j] = make([]float64, n)
+					for i := range src[j] {
+						src[j][i] = draw()
+					}
+				}
+				AxpyComp4(alphas, dst, comp, src)
+				for j := range src {
+					AxpyComp(alphas[j], wantDst, wantComp, src[j])
+				}
+				for i := range dst {
+					if math.Float64bits(dst[i]) != math.Float64bits(wantDst[i]) ||
+						math.Float64bits(comp[i]) != math.Float64bits(wantComp[i]) {
+						t.Fatalf("n=%d pass %d i=%d: AxpyComp4 (%v, %v), four AxpyComp (%v, %v)",
+							n, pass, i, dst[i], comp[i], wantDst[i], wantComp[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestFirstNonFinite plants +Inf, -Inf, a quiet NaN and a payload NaN at
 // every index of every length 0…67 among finite extremes (±MaxFloat64,
 // subnormals, ±0), and a second one after it, which must not be reported.
@@ -197,6 +311,10 @@ func TestAxpyCompFirstNonFiniteAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { AxpyComp(0.5, dst, comp, src) }); allocs != 0 {
 		t.Fatalf("AxpyComp allocated %v times per call", allocs)
 	}
+	srcs := [4][]float64{src, src, src, src}
+	if allocs := testing.AllocsPerRun(100, func() { AxpyComp4([4]float64{1, 2, 3, 4}, dst, comp, srcs) }); allocs != 0 {
+		t.Fatalf("AxpyComp4 allocated %v times per call", allocs)
+	}
 	if allocs := testing.AllocsPerRun(100, func() { FirstNonFinite(src) }); allocs != 0 {
 		t.Fatalf("FirstNonFinite allocated %v times per call", allocs)
 	}
@@ -215,6 +333,24 @@ func BenchmarkAxpyComp(b *testing.B) {
 	b.SetBytes(3 * 8 * updateDim)
 	for b.Loop() {
 		AxpyComp(57, dst, comp, src)
+	}
+}
+
+// BenchmarkAxpyComp4 folds four updates per call, so its ns/op over four
+// is the per-update cost to set beside BenchmarkAxpyComp's.
+func BenchmarkAxpyComp4(b *testing.B) {
+	r := rng.New(26)
+	dst, comp := make([]float64, updateDim), make([]float64, updateDim)
+	var src [4][]float64
+	for j := range src {
+		src[j] = make([]float64, updateDim)
+		for i := range src[j] {
+			src[j][i] = r.Normal(0, 0.1)
+		}
+	}
+	b.SetBytes(6 * 8 * updateDim)
+	for b.Loop() {
+		AxpyComp4([4]float64{57, 61, 53, 59}, dst, comp, src)
 	}
 }
 

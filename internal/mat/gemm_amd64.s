@@ -417,6 +417,132 @@ t4done:
 	VZEROUPPER
 	RET
 
+// func zmmTile4(d, a *float64, lai, lak int, b *float64, n, k int)
+//
+// fmaTile4 on AVX-512F: the same four dst rows and the same per-element
+// FMA chain in kk order, over 16-column strips (two zmm per row), then
+// one strip of the remaining n % 16 columns under opmasks K1 (its first
+// eight) and K2 (the rest). Masked-off lanes are loaded as zero, never
+// stored and cannot fault. Dispatched for n > 8; k must be > 0.
+TEXT ·zmmTile4(SB), NOSPLIT, $0-56
+	MOVQ lai+16(FP), R8
+	SHLQ $3, R8             // R8 = coefficient row stride (bytes)
+	LEAQ (R8)(R8*2), R9     // R9 = 3 coefficient rows
+	MOVQ lak+24(FP), R11
+	SHLQ $3, R11            // R11 = coefficient step per kk (bytes)
+	MOVQ n+40(FP), R13
+	MOVQ R13, BX
+	SHLQ $3, BX             // BX = d and b row stride (bytes)
+	LEAQ (BX)(BX*2), R12    // R12 = 3 d rows
+	XORQ AX, AX             // AX = strip's first column
+
+z4strip16:
+	LEAQ 16(AX), R10
+	CMPQ R10, R13
+	JGT  z4masked
+	MOVQ d+0(FP), DX
+	LEAQ (DX)(AX*8), DX
+	MOVQ a+8(FP), SI
+	MOVQ b+32(FP), DI
+	LEAQ (DI)(AX*8), DI
+	MOVQ k+48(FP), CX
+	VMOVUPD (DX), Z0
+	VMOVUPD 64(DX), Z1
+	VMOVUPD (DX)(BX*1), Z2
+	VMOVUPD 64(DX)(BX*1), Z3
+	VMOVUPD (DX)(BX*2), Z4
+	VMOVUPD 64(DX)(BX*2), Z5
+	VMOVUPD (DX)(R12*1), Z6
+	VMOVUPD 64(DX)(R12*1), Z7
+
+z4k16:
+	VMOVUPD      (DI), Z8
+	VMOVUPD      64(DI), Z9
+	VBROADCASTSD (SI), Z10
+	VBROADCASTSD (SI)(R8*1), Z11
+	VBROADCASTSD (SI)(R8*2), Z12
+	VBROADCASTSD (SI)(R9*1), Z13
+	VFMADD231PD  Z8, Z10, Z0
+	VFMADD231PD  Z9, Z10, Z1
+	VFMADD231PD  Z8, Z11, Z2
+	VFMADD231PD  Z9, Z11, Z3
+	VFMADD231PD  Z8, Z12, Z4
+	VFMADD231PD  Z9, Z12, Z5
+	VFMADD231PD  Z8, Z13, Z6
+	VFMADD231PD  Z9, Z13, Z7
+	ADDQ         R11, SI
+	ADDQ         BX, DI
+	DECQ         CX
+	JNZ          z4k16
+
+	VMOVUPD Z0, (DX)
+	VMOVUPD Z1, 64(DX)
+	VMOVUPD Z2, (DX)(BX*1)
+	VMOVUPD Z3, 64(DX)(BX*1)
+	VMOVUPD Z4, (DX)(BX*2)
+	VMOVUPD Z5, 64(DX)(BX*2)
+	VMOVUPD Z6, (DX)(R12*1)
+	VMOVUPD Z7, 64(DX)(R12*1)
+	MOVQ    R10, AX
+	JMP     z4strip16
+
+z4masked:
+	MOVQ R13, CX
+	SUBQ AX, CX             // CX = remaining columns, 0…15
+	JZ   z4done
+	MOVL $1, R10
+	SHLL CX, R10
+	DECL R10                // R10 = (1 << CX) - 1
+	KMOVW   R10, K1
+	KSHIFTRW $8, K1, K2
+	MOVQ d+0(FP), DX
+	LEAQ (DX)(AX*8), DX
+	MOVQ a+8(FP), SI
+	MOVQ b+32(FP), DI
+	LEAQ (DI)(AX*8), DI
+	MOVQ k+48(FP), CX
+	VMOVUPD.Z (DX), K1, Z0
+	VMOVUPD.Z 64(DX), K2, Z1
+	VMOVUPD.Z (DX)(BX*1), K1, Z2
+	VMOVUPD.Z 64(DX)(BX*1), K2, Z3
+	VMOVUPD.Z (DX)(BX*2), K1, Z4
+	VMOVUPD.Z 64(DX)(BX*2), K2, Z5
+	VMOVUPD.Z (DX)(R12*1), K1, Z6
+	VMOVUPD.Z 64(DX)(R12*1), K2, Z7
+
+z4kmasked:
+	VMOVUPD.Z    (DI), K1, Z8
+	VMOVUPD.Z    64(DI), K2, Z9
+	VBROADCASTSD (SI), Z10
+	VBROADCASTSD (SI)(R8*1), Z11
+	VBROADCASTSD (SI)(R8*2), Z12
+	VBROADCASTSD (SI)(R9*1), Z13
+	VFMADD231PD  Z8, Z10, Z0
+	VFMADD231PD  Z9, Z10, Z1
+	VFMADD231PD  Z8, Z11, Z2
+	VFMADD231PD  Z9, Z11, Z3
+	VFMADD231PD  Z8, Z12, Z4
+	VFMADD231PD  Z9, Z12, Z5
+	VFMADD231PD  Z8, Z13, Z6
+	VFMADD231PD  Z9, Z13, Z7
+	ADDQ         R11, SI
+	ADDQ         BX, DI
+	DECQ         CX
+	JNZ          z4kmasked
+
+	VMOVUPD Z0, K1, (DX)
+	VMOVUPD Z1, K2, 64(DX)
+	VMOVUPD Z2, K1, (DX)(BX*1)
+	VMOVUPD Z3, K2, 64(DX)(BX*1)
+	VMOVUPD Z4, K1, (DX)(BX*2)
+	VMOVUPD Z5, K2, 64(DX)(BX*2)
+	VMOVUPD Z6, K1, (DX)(R12*1)
+	VMOVUPD Z7, K2, 64(DX)(R12*1)
+
+z4done:
+	VZEROUPPER
+	RET
+
 // func fmaTile2(d, a *float64, lai, lak int, b *float64, n, k int)
 //
 // The two-row form of fmaTile4, for the row pair a 4-row tiling leaves
@@ -575,18 +701,17 @@ biasnext:
 
 // func vecAxpyComp(alpha float64, dst, comp, src *float64, n int)
 //
-// AxpyComp's Neumaier step four lanes at a time (n a multiple of 4):
+// AxpyComp's TwoSum step four lanes at a time (n a multiple of 4):
 //
-//	t = alpha*v; s = d + t
-//	comp += |d| >= |t| ? (d - s) + t : (t - s) + d
+//	t = alpha*v; s = t + d; bb = s - d
+//	comp += (d - (s - bb)) + (t - bb)
 //	d = s
 //
 // Every lane sees the scalar loop's IEEE operations in its order: the
-// product is a VMULPD, never an FMA, so it rounds before the add; |·|
-// clears the sign bit as math.Abs does; GE_OQ is false on NaN like Go's
-// >=; VBLENDVPD replaces the branch. The results are therefore bit-equal
-// to the scalar loop's, which is what keeps flat and tiered folds equal.
-// Each two-NaN operation also takes its first source operand from the
+// product is a VMULPD, never an FMA, so it rounds before the add, and
+// there is no branch to replace. The results are therefore bit-equal to
+// the scalar loop's, which is what keeps flat and tiered folds equal.
+// Each two-NaN addition also takes its first source operand from the
 // same value as the compiled scalar loop, so NaN payloads agree as well.
 TEXT ·vecAxpyComp(SB), NOSPLIT, $0-40
 	VBROADCASTSD alpha+0(FP), Y15
@@ -594,30 +719,110 @@ TEXT ·vecAxpyComp(SB), NOSPLIT, $0-40
 	MOVQ comp+16(FP), SI
 	MOVQ src+24(FP), DX
 	MOVQ n+32(FP), CX
-	VPCMPEQQ Y14, Y14, Y14
-	VPSRLQ   $1, Y14, Y14 // 0x7FFF…: clears the sign bit
-
 	XORQ AX, AX
 
 compLoop:
-	VMOVUPD   (DX)(AX*8), Y0
-	VMULPD    Y15, Y0, Y0         // t = v * alpha
-	VMOVUPD   (DI)(AX*8), Y1      // d
-	VADDPD    Y0, Y1, Y2          // s = d + t
-	VSUBPD    Y2, Y1, Y3
-	VADDPD    Y3, Y0, Y3          // t + (d - s)
-	VSUBPD    Y2, Y0, Y4
-	VADDPD    Y1, Y4, Y4          // (t - s) + d
-	VANDPD    Y14, Y1, Y5         // |d|
-	VANDPD    Y14, Y0, Y6         // |t|
-	VCMPPD    $0x1d, Y6, Y5, Y5   // |d| >= |t| (GE_OQ)
-	VBLENDVPD Y5, Y3, Y4, Y3
-	VADDPD    (SI)(AX*8), Y3, Y3  // correction + comp
-	VMOVUPD   Y3, (SI)(AX*8)
-	VMOVUPD   Y2, (DI)(AX*8)
-	ADDQ      $4, AX
-	CMPQ      AX, CX
-	JL        compLoop
+	VMOVUPD (DX)(AX*8), Y0
+	VMULPD  Y15, Y0, Y0        // t = v * alpha
+	VMOVUPD (DI)(AX*8), Y1     // d
+	VADDPD  Y1, Y0, Y2         // s = t + d
+	VSUBPD  Y1, Y2, Y3         // bb = s - d
+	VSUBPD  Y3, Y2, Y4
+	VSUBPD  Y4, Y1, Y4         // d - (s - bb)
+	VSUBPD  Y3, Y0, Y5         // t - bb
+	VADDPD  Y5, Y4, Y4         // the rounding error of s
+	VADDPD  (SI)(AX*8), Y4, Y4 // error + comp
+	VMOVUPD Y4, (SI)(AX*8)
+	VMOVUPD Y2, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JL      compLoop
+
+	VZEROUPPER
+	RET
+
+// TWOSUM_STEP folds one update into a block: t = alpha*v from src, the
+// running sum d into s (d and s swap roles step to step, so no register
+// move is needed) and the error into the compensation register c —
+// vecAxpyComp's operations, operand for operand. Clobbers v, bb and e.
+#define TWOSUM_STEP(src, alpha, d, s, c, v, bb, e) \
+	VMOVUPD (src)(AX*8), v \
+	VMULPD alpha, v, v \
+	VADDPD d, v, s \
+	VSUBPD d, s, bb \
+	VSUBPD bb, s, e \
+	VSUBPD e, d, e \
+	VSUBPD bb, v, bb \
+	VADDPD bb, e, e \
+	VADDPD c, e, c
+
+// func vecAxpyComp4(alpha *[4]float64, dst, comp, s0, s1, s2, s3 *float64, n int)
+//
+// AxpyComp4 four lanes at a time (n a multiple of 4): each block of dst
+// and comp is loaded once, takes the TwoSum step of s0, s1, s2 and s3 in
+// that order, and is stored once.
+TEXT ·vecAxpyComp4(SB), NOSPLIT, $0-64
+	MOVQ alpha+0(FP), BX
+	VBROADCASTSD (BX), Y12
+	VBROADCASTSD 8(BX), Y13
+	VBROADCASTSD 16(BX), Y14
+	VBROADCASTSD 24(BX), Y15
+	MOVQ dst+8(FP), DI
+	MOVQ comp+16(FP), SI
+	MOVQ s0+24(FP), R8
+	MOVQ s1+32(FP), R9
+	MOVQ s2+40(FP), R10
+	MOVQ s3+48(FP), R11
+	MOVQ n+56(FP), CX
+	XORQ AX, AX
+
+comp4Loop:
+	VMOVUPD (DI)(AX*8), Y0
+	VMOVUPD (SI)(AX*8), Y1
+	TWOSUM_STEP(R8, Y12, Y0, Y3, Y1, Y2, Y4, Y5)
+	TWOSUM_STEP(R9, Y13, Y3, Y0, Y1, Y2, Y4, Y5)
+	TWOSUM_STEP(R10, Y14, Y0, Y3, Y1, Y2, Y4, Y5)
+	TWOSUM_STEP(R11, Y15, Y3, Y0, Y1, Y2, Y4, Y5)
+	VMOVUPD Y0, (DI)(AX*8)
+	VMOVUPD Y1, (SI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JL      comp4Loop
+
+	VZEROUPPER
+	RET
+
+// func zmmAxpyComp4(alpha *[4]float64, dst, comp, s0, s1, s2, s3 *float64, n int)
+//
+// vecAxpyComp4 on AVX-512F, eight lanes at a time (n a multiple of 8):
+// the same operations on each lane in the same order.
+TEXT ·zmmAxpyComp4(SB), NOSPLIT, $0-64
+	MOVQ alpha+0(FP), BX
+	VBROADCASTSD (BX), Z12
+	VBROADCASTSD 8(BX), Z13
+	VBROADCASTSD 16(BX), Z14
+	VBROADCASTSD 24(BX), Z15
+	MOVQ dst+8(FP), DI
+	MOVQ comp+16(FP), SI
+	MOVQ s0+24(FP), R8
+	MOVQ s1+32(FP), R9
+	MOVQ s2+40(FP), R10
+	MOVQ s3+48(FP), R11
+	MOVQ n+56(FP), CX
+	XORQ AX, AX
+
+zcomp4Loop:
+	VMOVUPD (DI)(AX*8), Z0
+	VMOVUPD (SI)(AX*8), Z1
+	TWOSUM_STEP(R8, Z12, Z0, Z3, Z1, Z2, Z4, Z5)
+	TWOSUM_STEP(R9, Z13, Z3, Z0, Z1, Z2, Z4, Z5)
+	TWOSUM_STEP(R10, Z14, Z0, Z3, Z1, Z2, Z4, Z5)
+	TWOSUM_STEP(R11, Z15, Z3, Z0, Z1, Z2, Z4, Z5)
+	VMOVUPD Z0, (DI)(AX*8)
+	VMOVUPD Z1, (SI)(AX*8)
+	ADDQ    $8, AX
+	CMPQ    AX, CX
+	JL      zcomp4Loop
 
 	VZEROUPPER
 	RET

@@ -27,6 +27,9 @@ func biasOuter(d, a, b, bias []float64) bool { return false }
 // axpyCompVec leaves the whole of AxpyComp to the scalar loop.
 func axpyCompVec(alpha float64, dst, comp, src []float64) int { return 0 }
 
+// axpyComp4Vec leaves the whole of AxpyComp4 to the scalar loop.
+func axpyComp4Vec(alpha *[4]float64, dst, comp []float64, src *[4][]float64) int { return 0 }
+
 // finitePrefix proves nothing finite; FirstNonFinite scans all of v.
 func finitePrefix(v []float64) int { return 0 }
 

@@ -305,14 +305,20 @@ func Axpy(alpha float64, dst, src []float64) {
 	}
 }
 
-// AxpyComp computes dst[i] += alpha * src[i] with Neumaier-compensated
-// summation: the exact rounding error of every addition into dst[i] is
-// accumulated in comp[i], so dst[i] + comp[i] carries the running sum to
-// roughly twice working precision. Accumulating through AxpyComp makes
-// grouped folds (partial sums combined later, as a hierarchical
-// aggregation tree produces) agree with the flat sequential fold at full
-// float64 precision — the foundation of the federation's flat-vs-edge
+// AxpyComp computes dst[i] += alpha * src[i] with compensated summation:
+// the exact rounding error of every addition into dst[i] is accumulated
+// in comp[i], so dst[i] + comp[i] carries the running sum to roughly
+// twice working precision. Accumulating through AxpyComp makes grouped
+// folds (partial sums combined later, as a hierarchical aggregation tree
+// produces) agree with the flat sequential fold at full float64
+// precision — the foundation of the federation's flat-vs-edge
 // aggregation parity.
+//
+// The error term is Knuth's branch-free TwoSum: with s = d + t and
+// bb = s − d, the rounding error of s is (d − (s − bb)) + (t − bb). For
+// finite d and t whose sum does not overflow it is exact, so it has the
+// same bits as Neumaier's magnitude-compare step, Fast2Sum with the
+// larger operand first (DESIGN.md §8).
 //
 // On AVX2 hosts the step runs four lanes at a time (vecAxpyComp) with the
 // same IEEE operations in the same order as the scalar loop, so both
@@ -322,18 +328,40 @@ func AxpyComp(alpha float64, dst, comp, src []float64) {
 		panic("mat: AxpyComp length mismatch")
 	}
 	k := axpyCompVec(alpha, dst, comp, src)
-	dst, comp, src = dst[k:], comp[k:], src[k:]
+	axpyCompScalar(alpha, dst[k:], comp[k:], src[k:])
+}
+
+// axpyCompScalar is AxpyComp's portable loop: the whole fold without the
+// vector kernels, and the tail they leave.
+func axpyCompScalar(alpha float64, dst, comp, src []float64) {
+	dst, comp = dst[:len(src)], comp[:len(src)] // bounds-check elimination hint
 	for i, v := range src {
 		// The explicit conversion rounds the product before the add on
 		// every platform (Go may otherwise fuse it), as VMULPD does.
 		t := float64(alpha * v)
-		s := dst[i] + t
-		if math.Abs(dst[i]) >= math.Abs(t) {
-			comp[i] += (dst[i] - s) + t
-		} else {
-			comp[i] += (t - s) + dst[i]
-		}
+		d := dst[i]
+		s := d + t
+		bb := s - d
+		comp[i] += (d - (s - bb)) + (t - bb)
 		dst[i] = s
+	}
+}
+
+// AxpyComp4 folds four updates into dst/comp in order: bit for bit
+// AxpyComp(alpha[0], dst, comp, src[0]) through
+// AxpyComp(alpha[3], dst, comp, src[3]), but the vector kernels load and
+// store each block of dst and comp once per pass instead of four times:
+// eight lanes at a time on AVX-512F hosts, four on AVX2 hosts, each lane
+// applying the four TwoSum steps in order. The tail they leave (and the
+// whole of a pure-Go build) takes the four scalar folds in turn.
+func AxpyComp4(alpha [4]float64, dst, comp []float64, src [4][]float64) {
+	n := len(dst)
+	if len(comp) != n || len(src[0]) != n || len(src[1]) != n || len(src[2]) != n || len(src[3]) != n {
+		panic("mat: AxpyComp4 length mismatch")
+	}
+	k := axpyComp4Vec(&alpha, dst, comp, &src)
+	for j, s := range src {
+		axpyCompScalar(alpha[j], dst[k:], comp[k:], s[k:])
 	}
 }
 

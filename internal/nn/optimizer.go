@@ -101,6 +101,17 @@ func NewAdam(lr float64) *Adam {
 // Name implements Optimizer.
 func (a *Adam) Name() string { return "adam" }
 
+// Reset returns a to the state NewAdam leaves it in — no steps taken, zero
+// moments — keeping the moment buffers, so the next Step is bit-identical
+// to a fresh optimizer's on the same model.
+func (a *Adam) Reset() {
+	a.t = 0
+	for i := range a.m {
+		mat.Fill(a.m[i], 0)
+		mat.Fill(a.v[i], 0)
+	}
+}
+
 // Step implements Optimizer.
 func (a *Adam) Step(params, grads []*mat.Matrix) {
 	if a.m == nil {

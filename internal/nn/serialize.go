@@ -14,7 +14,11 @@ import (
 // two models built from the same architecture spec have positionally
 // aligned vectors.
 func (m *Model) WeightsVector() []float64 {
-	out := make([]float64, 0, m.NumParams())
+	return m.appendWeights(make([]float64, 0, m.NumParams()))
+}
+
+// appendWeights appends the flat parameter vector to out.
+func (m *Model) appendWeights(out []float64) []float64 {
 	for _, p := range m.Params() {
 		out = append(out, p.Value.Data...)
 	}

@@ -84,13 +84,37 @@ func (h History) FinalTrainLoss() float64 {
 // ErrNoData is returned when Fit receives no samples.
 var ErrNoData = errors.New("nn: no training samples")
 
-// Fit trains the model on aligned inputs/targets.
+// Fit trains the model on aligned inputs/targets: the one-shot form of
+// Trainer.Fit, with buffers that last one call.
 //
 // Each minibatch gradient is the average of per-sample gradients computed
 // concurrently by cfg.Workers goroutines; each worker owns its caches,
 // gradient buffers and RNG sub-stream, so results are deterministic for a
 // given (Seed, Workers) pair and independent of scheduling.
 func Fit(m *Model, inputs, targets []Seq, cfg TrainConfig) (History, error) {
+	var t Trainer
+	return t.Fit(m, inputs, targets, cfg)
+}
+
+// Trainer runs Fit with buffers that outlive one call: the gradient
+// workers' gradient sets, workspace arenas and sub-batch state, the
+// sample order and the best-weights snapshot. Every call re-splits the
+// worker RNG streams from its own cfg.Seed, so a Trainer's calls return
+// the same weights and history as fresh Fits, bit for bit. Keep one per
+// long-lived model trained round after round (a federated client); a
+// Trainer's buffers are sized for the last model it trained, and it
+// belongs to one goroutine at a time. The zero value is ready to use.
+type Trainer struct {
+	model  *Model
+	pool   *gradPool
+	params []*mat.Matrix
+	order  []int
+	best   []float64
+}
+
+// Fit trains m like the package-level Fit, reusing the Trainer's buffers
+// when m and the resolved worker count match the previous call's.
+func (t *Trainer) Fit(m *Model, inputs, targets []Seq, cfg TrainConfig) (History, error) {
 	if len(inputs) == 0 {
 		return History{}, ErrNoData
 	}
@@ -131,14 +155,23 @@ func Fit(m *Model, inputs, targets []Seq, cfg TrainConfig) (History, error) {
 	workers := effectiveWorkers(cfg.Workers, maxBatch)
 
 	src := rng.New(cfg.Seed)
-	pool := newGradPool(m, workers, src)
-	params := flatParams(m)
+	if t.model == m && len(t.pool.grads) == workers {
+		t.pool.split(src)
+	} else {
+		t.model, t.pool, t.params = m, newGradPool(m, workers, src), flatParams(m)
+	}
+	pool, params := t.pool, t.params
 
 	var hist History
 	bestVal := math.Inf(1)
-	bestWeights := m.WeightsVector()
+	if nVal > 0 {
+		t.best = m.appendWeights(t.best[:0])
+	}
 	sinceBest := 0
-	order := make([]int, nTrain)
+	if cap(t.order) < nTrain {
+		t.order = make([]int, nTrain)
+	}
+	order := t.order[:nTrain]
 	for i := range order {
 		order[i] = i
 	}
@@ -172,7 +205,7 @@ func Fit(m *Model, inputs, targets []Seq, cfg TrainConfig) (History, error) {
 			if vl < bestVal-1e-12 {
 				bestVal = vl
 				hist.BestEpoch = epoch
-				bestWeights = m.WeightsVector()
+				t.best = m.appendWeights(t.best[:0])
 				sinceBest = 0
 			} else {
 				sinceBest++
@@ -188,7 +221,7 @@ func Fit(m *Model, inputs, targets []Seq, cfg TrainConfig) (History, error) {
 	if nVal > 0 {
 		// Restore the best validation weights, as Keras'
 		// restore_best_weights does.
-		if err := m.SetWeightsVector(bestWeights); err != nil {
+		if err := m.SetWeightsVector(t.best); err != nil {
 			return hist, err
 		}
 	}
@@ -316,12 +349,22 @@ func newGradPool(m *Model, workers int, src *rng.Source) *gradPool {
 	}
 	for i := 0; i < workers; i++ {
 		p.grads[i] = m.NewGradSet()
-		p.rngs[i] = src.Split()
+		p.rngs[i] = new(rng.Source)
 		p.wss[i] = NewWorkspace()
 		p.wbs[i] = &workerBatch{}
 	}
 	p.flat = p.grads[0].Flat()
+	p.split(src)
 	return p
+}
+
+// split seeds the workers' RNG sub-streams from src, one draw per worker
+// in worker order: the streams src.Split() would return, without
+// allocating them.
+func (p *gradPool) split(src *rng.Source) {
+	for _, r := range p.rngs {
+		r.Reseed(src.Uint64())
+	}
 }
 
 // batchGrad computes the mean loss and mean gradient over the samples in

@@ -275,3 +275,68 @@ func TestFitExtraEpochAllocs(t *testing.T) {
 			one, nine, perEpoch)
 	}
 }
+
+// TestTrainerReuseMatchesFreshFit holds a Trainer's buffer reuse to the
+// one-shot Fit: two consecutive Trainer.Fit calls on one model leave the
+// same weights and histories, bit for bit, as two fresh Fits on a twin
+// model — with one and two workers, a ragged final batch (102 training
+// samples in batches of 32, or 82 beside a validation split), and with
+// dropout drawing from the re-split RNG streams.
+func TestTrainerReuseMatchesFreshFit(t *testing.T) {
+	inputs, targets := sineDataset(110, 8, 81)
+	specs := map[string]struct {
+		spec    Spec
+		targets []Seq
+	}{
+		"forecaster":  {ForecasterSpec(6, 4), targets},
+		"autoencoder": {AutoencoderSpec(8, 6, 3, 0.2), inputs},
+	}
+	for name, sc := range specs {
+		for _, workers := range []int{1, 2} {
+			for _, valFrac := range []float64{0, 0.2} {
+				reused, err := Build(sc.spec, 82)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := Build(sc.spec, 82)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var tr Trainer
+				for round := uint64(0); round < 2; round++ {
+					cfg := DefaultTrainConfig(2, 83+round)
+					cfg.Workers, cfg.ValFrac = workers, valFrac
+					hr, err := tr.Fit(reused, inputs, sc.targets, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.Optimizer = NewAdam(0.001)
+					hf, err := Fit(fresh, inputs, sc.targets, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wr, wf := reused.WeightsVector(), fresh.WeightsVector()
+					for i := range wr {
+						if math.Float64bits(wr[i]) != math.Float64bits(wf[i]) {
+							t.Fatalf("%s workers=%d val=%v round %d: weight %d reused %v, fresh %v",
+								name, workers, valFrac, round, i, wr[i], wf[i])
+						}
+					}
+					same := func(a, b []float64) bool {
+						for i := range a {
+							if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+								return false
+							}
+						}
+						return len(a) == len(b)
+					}
+					if !same(hr.TrainLoss, hf.TrainLoss) || !same(hr.ValLoss, hf.ValLoss) ||
+						hr.BestEpoch != hf.BestEpoch || hr.StoppedEarly != hf.StoppedEarly {
+						t.Fatalf("%s workers=%d val=%v round %d: history %+v, fresh %+v",
+							name, workers, valFrac, round, hr, hf)
+					}
+				}
+			}
+		}
+	}
+}

@@ -59,6 +59,8 @@ func FuzzWireServe(f *testing.F) {
 		return wire.AppendVector(wire.AppendReload(b, 0), wire.VecQ8, weights, make([]float64, len(weights)), nil)
 	})...))
 	f.Add([]byte("GET /score HTTP/1.1\r\n\r\n"))
+	// One point over the per-frame cap.
+	f.Add(frame(wire.MsgScore, func(b []byte) ([]byte, error) { return overCapScore(b, "z102"), nil }))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		baseline := runtime.NumGoroutine()

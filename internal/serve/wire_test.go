@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/binary"
 	"math"
 	"net"
 	"runtime"
@@ -266,4 +267,74 @@ func TestWireEvictedStationRestarts(t *testing.T) {
 		runtime.GC()
 	}
 	score("churn-a", 0)
+}
+
+// overCapScore appends a MsgScore payload of wire.MaxScorePoints + 1
+// observations for station, which AppendScore itself refuses to build:
+// a cap-sized frame with its count field raised by one and one more value.
+func overCapScore(b []byte, station string) []byte {
+	b, err := wire.AppendScore(b, station, make([]float64, wire.MaxScorePoints))
+	if err != nil {
+		panic(err)
+	}
+	count := len(b) - 8*wire.MaxScorePoints - 4
+	binary.LittleEndian.PutUint32(b[count:], wire.MaxScorePoints+1)
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(0.5))
+}
+
+// TestWireScorePointCap: a MsgScore frame one point over
+// wire.MaxScorePoints is refused with ErrCodeBadRequest before any point
+// is submitted — neither a known station's stream nor a new station's
+// registration moves — while a frame at the cap is scored.
+func TestWireScorePointCap(t *testing.T) {
+	s := newTestService(t, Config{Shards: 1})
+	ws, err := ListenWire(s, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Stop()
+	c, err := DialWire(ws.Addr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Score("known", []float64{0.5}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Score("known", make([]float64, wire.MaxScorePoints+1)); err == nil {
+		t.Fatal("client built a frame over the point cap")
+	}
+
+	for _, station := range []string{"known", "fresh"} {
+		conn, err := net.Dial("tcp", ws.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		wc := wire.NewConn(conn)
+		if err := wc.WriteFrame(wire.MsgScore, func(b []byte) ([]byte, error) {
+			return overCapScore(b, station), nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		fr, err := wc.ReadFrame()
+		if err != nil || fr.Type != wire.MsgError {
+			t.Fatalf("%s: frame %+v, err %v", station, fr, err)
+		}
+		if e, err := wire.ParseError(fr.Payload); err != nil || e.Code != wire.ErrCodeBadRequest {
+			t.Fatalf("%s: error %+v, %v; want ErrCodeBadRequest", station, e, err)
+		}
+		conn.Close()
+	}
+	if _, ok := s.stations.Load("fresh"); ok {
+		t.Fatal("a refused frame registered its station")
+	}
+	vs, err := c.Score("known", make([]float64, wire.MaxScorePoints))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vs) != wire.MaxScorePoints || vs[0].Index != 1 {
+		t.Fatalf("after the refused frame: %d verdicts from index %d, want %d from index 1",
+			len(vs), vs[0].Index, wire.MaxScorePoints)
+	}
 }
