@@ -3,12 +3,12 @@
 // latency with jitter, byte corruption, partition windows, and named
 // process-crash hooks.
 //
-// The package wraps net.Conn / net.Listener behind the dial and listen
-// seams the federation and serving tiers already expose (a nil wrap
-// function leaves the production path untouched, so disabled chaos costs
-// nothing). Every fault decision is drawn from one seeded generator, so a
-// chaos run is deterministic for a given policy — the recovery scenario
-// matrix in internal/eval depends on that to compare faulty runs against
+// The package wraps net.Conn behind the dial and accept seams the
+// federation tier already exposes (a nil wrap function leaves the
+// production path untouched, so disabled chaos costs nothing). Every
+// fault decision is drawn from one seeded generator, so a chaos run is
+// deterministic for a given policy — the recovery scenario matrix in
+// internal/eval depends on that to compare faulty runs against
 // fault-free baselines bit-for-bit.
 package chaos
 
@@ -61,7 +61,7 @@ type Policy struct {
 	GraceOps int
 }
 
-// Injector applies a Policy to connections, listeners and dialers. One
+// Injector applies a Policy to connections and dialers. One
 // injector models one fault domain (e.g. "the links to station 3"); its
 // seeded RNG is shared by every wrapped connection under a mutex, so
 // concurrent connections interleave draws but a single-connection
@@ -158,14 +158,6 @@ func (in *Injector) ConnWrapper() func(net.Conn) net.Conn {
 	return in.WrapConn
 }
 
-// WrapListener wraps ln so accepted connections carry the policy.
-func (in *Injector) WrapListener(ln net.Listener) net.Listener {
-	if in == nil {
-		return ln
-	}
-	return &chaosListener{Listener: ln, in: in}
-}
-
 // Dialer wraps a dial function so dialing fails inside partition windows
 // and established connections carry the policy. base dials the real
 // connection (e.g. net.DialTimeout over tcp).
@@ -257,20 +249,6 @@ func (c *chaosConn) Write(b []byte) (int, error) {
 		return c.Conn.Write(tmp)
 	}
 	return c.Conn.Write(b)
-}
-
-// chaosListener wraps accepted connections.
-type chaosListener struct {
-	net.Listener
-	in *Injector
-}
-
-func (l *chaosListener) Accept() (net.Conn, error) {
-	conn, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return l.in.WrapConn(conn), nil
 }
 
 // CrashOnce returns a crash-point hook that injects ErrCrash the nth time

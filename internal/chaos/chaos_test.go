@@ -23,9 +23,6 @@ func TestNilInjectorIsPassthrough(t *testing.T) {
 	if in.ConnWrapper() != nil {
 		t.Fatal("nil injector returned a non-nil wrapper")
 	}
-	if got := in.WrapListener(nil); got != nil {
-		t.Fatalf("nil injector wrapped a listener: %T", got)
-	}
 	base := func(addr string, timeout time.Duration) (net.Conn, error) { return a, nil }
 	if got := in.Dialer(base); got == nil {
 		t.Fatal("nil injector returned nil dialer")

@@ -332,11 +332,15 @@ func TestClientTrainWarmRoundAllocations(t *testing.T) {
 	}
 	global := c.Model().WeightsVector()
 	vecBytes := uint64(8 * len(global))
-	for _, workers := range []int{1, 2} {
+	for _, arm := range []struct {
+		workers int
+		privacy Privacy
+	}{{1, Privacy{}}, {2, Privacy{}}, {2, Privacy{ClipNorm: 1, NoiseStd: 0.01}}} {
+		workers := arm.workers
 		least := uint64(math.MaxUint64)
 		for round := 0; round < 4; round++ {
 			cfg := LocalTrainConfig{Epochs: 2, BatchSize: 32, LearningRate: 1e-3, Workers: workers,
-				Round: round, ProximalMu: 0.01, Codec: CodecQ8}
+				Round: round, ProximalMu: 0.01, Codec: CodecQ8, Privacy: arm.privacy}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			u, err := c.Train(global, cfg)
@@ -367,8 +371,8 @@ func TestClientTrainWarmRoundAllocations(t *testing.T) {
 			}
 		}
 		if least > vecBytes/4 {
-			t.Fatalf("workers=%d: a warm Train allocated at least %d bytes beyond its %d-byte update",
-				workers, least, vecBytes)
+			t.Fatalf("workers=%d privacy=%+v: a warm Train allocated at least %d bytes beyond its %d-byte update",
+				workers, arm.privacy, least, vecBytes)
 		}
 	}
 }

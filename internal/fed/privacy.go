@@ -55,11 +55,12 @@ func (p Privacy) privatize(weights, global []float64, r *rng.Source) error {
 	if len(weights) != len(global) {
 		return fmt.Errorf("%w: weights %d vs global %d", ErrBadConfig, len(weights), len(global))
 	}
-	delta := make([]float64, len(weights))
+	// The delta is recomputed in the second pass rather than stored: the
+	// same subtraction gives the same bits, and no model-sized buffer.
 	var norm float64
 	for i := range weights {
-		delta[i] = weights[i] - global[i]
-		norm += delta[i] * delta[i]
+		d := weights[i] - global[i]
+		norm += d * d
 	}
 	norm = math.Sqrt(norm)
 	scale := 1.0
@@ -67,7 +68,7 @@ func (p Privacy) privatize(weights, global []float64, r *rng.Source) error {
 		scale = p.ClipNorm / norm
 	}
 	for i := range weights {
-		d := delta[i] * scale
+		d := (weights[i] - global[i]) * scale
 		if p.NoiseStd > 0 {
 			d += r.Normal(0, p.NoiseStd)
 		}

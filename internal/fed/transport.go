@@ -47,10 +47,10 @@ import (
 // read/write deadlines, and bounded exponential-backoff retries for
 // transient dial/IO errors. Application errors reported by the station
 // (ErrRemote) are never retried and leave the connection open; transport
-// errors close it. ClientServer tracks every accepted connection under
-// its mutex, so Stop cannot race a concurrent accept; on Stop, the
-// listener and all in-flight connections are closed and handler
-// goroutines are awaited.
+// errors close it. ClientServer's connection lifecycle — accept loop,
+// connection tracking that Stop cannot race, per-frame deadlines, the
+// version-skew reply and per-type payload caps — is wire.Server, shared
+// with the scoring service.
 
 // ErrRemote wraps an error string reported by the remote client.
 var ErrRemote = errors.New("fed: remote client error")
@@ -96,14 +96,10 @@ type Prober interface {
 // ServerConfig tunes a ClientServer's connection lifecycle and codec
 // policy.
 type ServerConfig struct {
-	// RequestTimeout bounds waiting for one complete request frame on an
-	// accepted connection and, separately, writing its response — it
-	// guards against half-open peers pinning handler goroutines forever,
-	// and doubles as the idle reap for persistent connections (a
-	// coordinator whose connection was reaped between rounds transparently
-	// re-dials). 0 disables the deadlines. It does NOT bound local
-	// training time: the write deadline is armed only after training
-	// completes.
+	// RequestTimeout is the server's wire.Server Timeout: it bounds each
+	// request read and response write, so half-open peers cannot pin
+	// handlers, and reaps idle connections (the coordinator re-dials).
+	// 0 disables it. It does NOT bound local training.
 	RequestTimeout time.Duration
 	// Codec is the station's uplink compression floor: updates are
 	// encoded with the more compressed of this and what the coordinator's
@@ -151,8 +147,11 @@ func (p clientPeer) nodeID() string            { return p.c.ID() }
 func (p clientPeer) hello() (HelloInfo, error) { return p.c.Hello() }
 func (p clientPeer) numSamples() (int, error)  { return p.c.NumSamples() }
 
-func (p clientPeer) respondTrain(tr wire.Train, weights []float64, scfg ServerConfig) (wire.MsgType, func([]byte) ([]byte, error), error) {
-	cfg := LocalTrainConfig{
+// trainConfig is the local-training call a Train request asks for. The
+// wire performs the real encoding (an edge's partial uplink is always raw
+// float64), so the peer must not additionally simulate a codec.
+func trainConfig(tr wire.Train) LocalTrainConfig {
+	return LocalTrainConfig{
 		Epochs:       tr.Epochs,
 		BatchSize:    tr.BatchSize,
 		LearningRate: tr.LearningRate,
@@ -160,11 +159,13 @@ func (p clientPeer) respondTrain(tr wire.Train, weights []float64, scfg ServerCo
 		Round:        tr.Round,
 		Privacy:      Privacy{ClipNorm: tr.PrivacyClip, NoiseStd: tr.PrivacyNoise},
 		ProximalMu:   tr.ProximalMu,
-		// The wire performs the real encoding below; the client must not
-		// additionally simulate it.
-		Codec: CodecNone,
+		Codec:        CodecNone,
+		PartialKind:  PartialKind(tr.PartialKind),
 	}
-	u, err := p.c.Train(weights, cfg)
+}
+
+func (p clientPeer) respondTrain(tr wire.Train, weights []float64, scfg ServerConfig) (wire.MsgType, func([]byte) ([]byte, error), error) {
+	u, err := p.c.Train(weights, trainConfig(tr))
 	if err != nil {
 		return 0, nil, err
 	}
@@ -193,20 +194,8 @@ func (p edgePeer) hello() (HelloInfo, error) { return p.e.Hello() }
 func (p edgePeer) numSamples() (int, error)  { return p.e.NumSamples() }
 
 func (p edgePeer) respondTrain(tr wire.Train, weights []float64, scfg ServerConfig) (wire.MsgType, func([]byte) ([]byte, error), error) {
-	cfg := LocalTrainConfig{
-		Epochs:       tr.Epochs,
-		BatchSize:    tr.BatchSize,
-		LearningRate: tr.LearningRate,
-		Workers:      tr.Workers,
-		Round:        tr.Round,
-		Privacy:      Privacy{ClipNorm: tr.PrivacyClip, NoiseStd: tr.PrivacyNoise},
-		ProximalMu:   tr.ProximalMu,
-		// The edge applies its own downstream codec; partial uplinks are
-		// always raw float64 regardless of tr.UpdateCodec.
-		Codec:       CodecNone,
-		PartialKind: PartialKind(tr.PartialKind),
-	}
-	part, err := p.e.TrainPartial(weights, cfg)
+	// The edge applies its own downstream codec to its subtree.
+	part, err := p.e.TrainPartial(weights, trainConfig(tr))
 	if err != nil {
 		// Any edge failure — including a fully-dropped subtree — is an
 		// application error: a tolerant root drops just this subtree and
@@ -238,14 +227,8 @@ func (p edgePeer) respondTrain(tr wire.Train, weights []float64, scfg ServerConf
 // or an Edge (ServeEdge) — over TCP.
 type ClientServer struct {
 	peer servedNode
-	ln   net.Listener
 	scfg ServerConfig
-
-	mu       sync.Mutex
-	closed   bool
-	conns    map[net.Conn]struct{}
-	accepted int // total accepted connections (tests observe reuse)
-	wg       sync.WaitGroup
+	srv  wire.Server
 }
 
 // ServeClient starts serving client on addr (e.g. "127.0.0.1:0") with the
@@ -276,91 +259,35 @@ func servePeer(peer servedNode, addr string, scfg ServerConfig) (*ClientServer, 
 	if err := scfg.Codec.validate(); err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
+	s := &ClientServer{peer: peer, scfg: scfg}
+	s.srv = wire.Server{
+		Name:       "station " + peer.nodeID(),
+		Timeout:    scfg.RequestTimeout,
+		Wrap:       scfg.WrapConn,
+		MaxPayload: maxRequestPayload,
+		NewHandler: s.newHandler,
+	}
+	if err := s.srv.Listen(addr); err != nil {
 		return nil, fmt.Errorf("fed: listen %s: %w", addr, err)
 	}
-	s := &ClientServer{peer: peer, ln: ln, scfg: scfg, conns: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
 	return s, nil
 }
 
 // Addr returns the server's bound address.
-func (s *ClientServer) Addr() string { return s.ln.Addr().String() }
+func (s *ClientServer) Addr() string { return s.srv.Addr() }
 
 // Stop closes the listener and every in-flight connection, then waits for
-// the accept loop and all handler goroutines to exit. Handlers blocked on
-// network IO are unblocked by the connection close; a handler mid-training
-// finishes its (now unanswerable) local computation before exiting.
-func (s *ClientServer) Stop() {
-	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		s.ln.Close()
-		for c := range s.conns {
-			c.Close()
-		}
+// every handler; one mid-training finishes its local computation first.
+func (s *ClientServer) Stop() { s.srv.Stop() }
+
+// maxRequestPayload caps each request type's payload before it is read:
+// Hello and Probe carry none, and Train keeps MaxFrameBytes because an
+// edge learns its model dimension only by probing its own subtree.
+func maxRequestPayload(t wire.MsgType) int {
+	if t == wire.MsgTrain {
+		return wire.MaxFrameBytes
 	}
-	s.mu.Unlock()
-	s.wg.Wait()
-}
-
-func (s *ClientServer) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		if s.scfg.WrapConn != nil {
-			conn = s.scfg.WrapConn(conn)
-		}
-		if !s.track(conn) {
-			// Stop won the race: the server is closed, so the fresh
-			// connection is dropped instead of spawning an untracked
-			// handler behind Stop's back.
-			conn.Close()
-			return
-		}
-		go func() {
-			defer s.untrack(conn)
-			s.handle(conn)
-		}()
-	}
-}
-
-// track registers conn and reserves a handler slot in the WaitGroup.
-// Both happen under the mutex that Stop takes before wg.Wait, so either
-// the connection is fully tracked before Stop waits, or Stop already
-// closed and the caller must drop the connection — wg.Add can never race
-// wg.Wait.
-func (s *ClientServer) track(conn net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	s.wg.Add(1)
-	s.conns[conn] = struct{}{}
-	s.accepted++
-	return true
-}
-
-func (s *ClientServer) untrack(conn net.Conn) {
-	conn.Close()
-	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
-	s.wg.Done()
-}
-
-// acceptedConns reports how many connections the server has accepted
-// (persistent-connection tests observe reuse through it).
-func (s *ClientServer) acceptedConns() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.accepted
+	return 0
 }
 
 // session is one connection's protocol state: the reconstructed broadcast
@@ -371,41 +298,17 @@ type session struct {
 	spare  []float64 // decode target, swapped with global on commit
 }
 
-// handle serves one persistent connection: many request/response pairs
-// until the peer closes, a deadline reaps it, or a protocol error makes
-// further framing meaningless.
-func (s *ClientServer) handle(conn net.Conn) {
-	wc := wire.NewConn(conn)
+// newHandler serves one persistent connection: many request/response
+// pairs until the peer closes, a deadline reaps it, or a protocol error
+// makes further framing meaningless. An application error is reported
+// and the connection kept.
+func (s *ClientServer) newHandler() wire.Handler {
 	var sess session
-	for {
-		if s.scfg.RequestTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.scfg.RequestTimeout))
-		}
-		fr, err := wc.ReadFrame()
-		if err != nil {
-			// EOF (peer done), idle/half-open timeout, or not our
-			// protocol (e.g. a legacy gob coordinator fails the magic
-			// check): drop the connection.
-			return
-		}
-		if fr.Version != wire.Version {
-			// Version negotiation: tell the skewed peer which revision
-			// this station speaks, then close.
-			s.respondError(wc, conn, wire.ErrorMsg{
-				Code:        wire.ErrCodeVersion,
-				PeerVersion: wire.Version,
-				Text:        fmt.Sprintf("station %s speaks protocol v%d, got v%d", s.peer.nodeID(), wire.Version, fr.Version),
-			})
-			return
-		}
+	return func(wc *wire.Conn, fr wire.Frame) bool {
 		switch fr.Type {
 		case wire.MsgHello:
-			info, herr := s.peer.hello()
-			if herr != nil {
-				s.respondError(wc, conn, wire.ErrorMsg{Code: wire.ErrCodeApp, PeerVersion: wire.Version, Text: herr.Error()})
-				continue
-			}
-			s.respond(wc, conn, wire.MsgHelloOK, func(b []byte) ([]byte, error) {
+			info, err := s.peer.hello()
+			return wc.Reply(err, wire.MsgHelloOK, func(b []byte) ([]byte, error) {
 				return wire.AppendHelloOK(b, wire.HelloOK{
 					StationID:  info.StationID,
 					ModelDim:   info.ModelDim,
@@ -414,35 +317,24 @@ func (s *ClientServer) handle(conn net.Conn) {
 				})
 			})
 		case wire.MsgProbe:
-			n, perr := s.peer.numSamples()
-			if perr != nil {
-				s.respondError(wc, conn, wire.ErrorMsg{Code: wire.ErrCodeApp, PeerVersion: wire.Version, Text: perr.Error()})
-				continue
-			}
-			s.respond(wc, conn, wire.MsgProbeOK, func(b []byte) ([]byte, error) {
+			n, err := s.peer.numSamples()
+			return wc.Reply(err, wire.MsgProbeOK, func(b []byte) ([]byte, error) {
 				return wire.AppendProbeOK(b, wire.ProbeOK{NumSamples: n})
 			})
 		case wire.MsgTrain:
-			if !s.handleTrain(wc, conn, fr.Payload, &sess) {
-				return
-			}
-		default:
-			s.respondError(wc, conn, wire.ErrorMsg{
-				Code:        wire.ErrCodeBadRequest,
-				PeerVersion: wire.Version,
-				Text:        fmt.Sprintf("unexpected message type %d", fr.Type),
-			})
-			return
+			return s.handleTrain(wc, fr.Payload, &sess)
 		}
+		_ = wc.WriteError(wire.ErrCodeBadRequest, fmt.Sprintf("unexpected message type %d", fr.Type))
+		return false
 	}
 }
 
 // handleTrain serves one training request. It reports whether the
 // connection is still healthy enough to keep serving.
-func (s *ClientServer) handleTrain(wc *wire.Conn, conn net.Conn, payload []byte, sess *session) bool {
+func (s *ClientServer) handleTrain(wc *wire.Conn, payload []byte, sess *session) bool {
 	tr, vecPayload, err := wire.ParseTrain(payload)
 	if err != nil {
-		s.respondError(wc, conn, wire.ErrorMsg{Code: wire.ErrCodeBadRequest, PeerVersion: wire.Version, Text: err.Error()})
+		_ = wc.WriteError(wire.ErrCodeBadRequest, err.Error())
 		return false
 	}
 	weights, _, err := wire.DecodeVector(vecPayload, sess.spare[:0], sess.global)
@@ -454,45 +346,24 @@ func (s *ClientServer) handleTrain(wc *wire.Conn, conn net.Conn, payload []byte,
 			// fresh connection, which resets both ends to full frames.
 			code = wire.ErrCodeNoDeltaRef
 		}
-		s.respondError(wc, conn, wire.ErrorMsg{Code: code, PeerVersion: wire.Version, Text: err.Error()})
+		_ = wc.WriteError(code, err.Error())
 		return false
 	}
 	sess.spare = weights // keep ownership of the (possibly regrown) buffer
 
 	respType, build, err := s.peer.respondTrain(tr, weights, s.scfg)
-	if err != nil {
-		// Application error: report it and keep serving. The delta
-		// reference is NOT committed — the coordinator only commits its
-		// side on the success response, and both ends must move in
-		// lockstep.
-		s.respondError(wc, conn, wire.ErrorMsg{Code: wire.ErrCodeApp, PeerVersion: wire.Version, Text: err.Error()})
-		return true
+	ok := wc.Reply(err, respType, build)
+	if err == nil {
+		// Commit the session's delta reference at the success-response
+		// boundary: the decoded broadcast becomes the reference, the old
+		// reference becomes decode scratch. An application error commits
+		// nothing — the coordinator commits its side only on success, and
+		// both ends must move in lockstep. If the write failed the
+		// coordinator saw a transport error and will re-dial, discarding
+		// this session anyway.
+		sess.global, sess.spare = weights, sess.global
 	}
-
-	if s.scfg.RequestTimeout > 0 {
-		_ = conn.SetWriteDeadline(time.Now().Add(s.scfg.RequestTimeout))
-	}
-	werr := wc.WriteFrame(respType, build)
-	// Commit the session's delta reference at the success-response
-	// boundary: the decoded broadcast becomes the reference, the old
-	// reference becomes decode scratch. If the write failed the
-	// coordinator saw a transport error and will re-dial, discarding this
-	// session anyway.
-	sess.global, sess.spare = weights, sess.global
-	return werr == nil
-}
-
-func (s *ClientServer) respond(wc *wire.Conn, conn net.Conn, t wire.MsgType, build func([]byte) ([]byte, error)) {
-	if s.scfg.RequestTimeout > 0 {
-		_ = conn.SetWriteDeadline(time.Now().Add(s.scfg.RequestTimeout))
-	}
-	_ = wc.WriteFrame(t, build) // best effort; coordinator detects broken pipes
-}
-
-func (s *ClientServer) respondError(wc *wire.Conn, conn net.Conn, e wire.ErrorMsg) {
-	s.respond(wc, conn, wire.MsgError, func(b []byte) ([]byte, error) {
-		return wire.AppendError(b, e)
-	})
+	return ok
 }
 
 // countingConn counts transferred bytes around a net.Conn.

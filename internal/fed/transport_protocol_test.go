@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -241,6 +242,16 @@ func TestTransportStationAnswersVersionSkew(t *testing.T) {
 	}
 }
 
+// acceptCounter returns a ServerConfig.WrapConn that counts the
+// connections a server accepts, and the count.
+func acceptCounter() (*atomic.Int32, func(net.Conn) net.Conn) {
+	var n atomic.Int32
+	return &n, func(conn net.Conn) net.Conn {
+		n.Add(1)
+		return conn
+	}
+}
+
 // Persistent connections: consecutive calls reuse one TCP connection, a
 // server-side idle reap is healed by a transparent re-dial, and the byte
 // counters match the exact modeled frame sizes.
@@ -250,7 +261,8 @@ func TestTransportPersistentConnectionReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := ServeClient(c, "127.0.0.1:0")
+	accepted, countAccepts := acceptCounter()
+	srv, err := ServeClientConfig(c, "127.0.0.1:0", ServerConfig{WrapConn: countAccepts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +284,7 @@ func TestTransportPersistentConnectionReuse(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
-	if got := srv.acceptedConns(); got != 1 {
+	if got := accepted.Load(); got != 1 {
 		t.Fatalf("expected one persistent connection, server accepted %d", got)
 	}
 }
@@ -283,7 +295,8 @@ func TestTransportReconnectsAfterIdleReap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := ServeClientConfig(c, "127.0.0.1:0", ServerConfig{RequestTimeout: 100 * time.Millisecond})
+	accepted, countAccepts := acceptCounter()
+	srv, err := ServeClientConfig(c, "127.0.0.1:0", ServerConfig{RequestTimeout: 100 * time.Millisecond, WrapConn: countAccepts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +312,7 @@ func TestTransportReconnectsAfterIdleReap(t *testing.T) {
 	if _, err := rc.NumSamples(); err != nil {
 		t.Fatalf("transparent re-dial failed: %v", err)
 	}
-	if got := srv.acceptedConns(); got != 2 {
+	if got := accepted.Load(); got != 2 {
 		t.Fatalf("expected a re-dial after idle reap, server accepted %d connections", got)
 	}
 }

@@ -55,6 +55,11 @@ const scoreVerdictBytes = 8 + 1 + 4 + 8 + 8
 // (cmd/evfedserve's smoke tests).
 const MaxScorePoints = 4096
 
+// MaxScorePayload is the largest MsgScore payload: the longest station ID
+// and MaxScorePoints observations. A scoring server refuses a header
+// claiming more before it reads the payload.
+const MaxScorePayload = 2 + maxStringLen + 4 + 8*MaxScorePoints
+
 // AppendScore encodes a station ID and its observation batch onto b.
 func AppendScore(b []byte, station string, values []float64) ([]byte, error) {
 	if len(values) > MaxScorePoints {

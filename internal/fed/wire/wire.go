@@ -26,6 +26,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
+	"time"
 )
 
 // Protocol constants.
@@ -154,6 +156,11 @@ type Conn struct {
 	hdr     [HeaderBytes]byte // reused header scratch (a stack buffer would escape through io.ReadFull)
 	out     []byte
 	payload []byte
+
+	// A Server's connections arm a fresh deadline of timeout before every
+	// frame read and write (0 = none).
+	nc      net.Conn
+	timeout time.Duration
 }
 
 // NewConn wraps rw (typically a net.Conn) for frame exchange.
@@ -164,7 +171,16 @@ func NewConn(rw io.ReadWriter) *Conn {
 // ReadFrame reads one frame. io.EOF is returned untouched on a clean
 // close before any header byte; all other failures are typed. The frame's
 // payload buffer is reused by the next ReadFrame.
-func (c *Conn) ReadFrame() (Frame, error) {
+func (c *Conn) ReadFrame() (Frame, error) { return c.readFrame(nil) }
+
+// readFrame is ReadFrame with a per-type cap on a current-revision
+// frame's payload, checked before any payload byte is read. Another
+// revision's types may mean something else, so its frames are held only
+// to MaxFrameBytes, and the peer can still be told which revision this is.
+func (c *Conn) readFrame(maxPayload func(MsgType) int) (Frame, error) {
+	if c.timeout > 0 {
+		_ = c.nc.SetReadDeadline(time.Now().Add(c.timeout))
+	}
 	hdr := c.hdr[:]
 	if _, err := io.ReadFull(c.br, hdr); err != nil {
 		if err == io.ErrUnexpectedEOF {
@@ -176,8 +192,12 @@ func (c *Conn) ReadFrame() (Frame, error) {
 		return Frame{}, ErrBadMagic
 	}
 	size := int(binary.LittleEndian.Uint32(hdr[4:8]))
-	if size > MaxFrameBytes {
-		return Frame{}, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, size)
+	limit := MaxFrameBytes
+	if maxPayload != nil && hdr[2] == Version {
+		limit = min(limit, maxPayload(MsgType(hdr[3])))
+	}
+	if size > limit {
+		return Frame{}, fmt.Errorf("%w: %d-byte payload for type %d, cap %d", ErrFrameTooLarge, size, hdr[3], limit)
 	}
 	// The payload is read in bounded chunks so a lying length field makes
 	// the read fail after the bytes actually sent, instead of forcing one
@@ -210,6 +230,9 @@ func (c *Conn) ReadFrame() (Frame, error) {
 // appends to the passed buffer) and writes the frame in a single Write
 // call. build may be nil for empty-payload messages.
 func (c *Conn) WriteFrame(t MsgType, build func(b []byte) ([]byte, error)) error {
+	if c.timeout > 0 {
+		_ = c.nc.SetWriteDeadline(time.Now().Add(c.timeout))
+	}
 	b := append(c.out[:0], magic0, magic1, Version, byte(t), 0, 0, 0, 0)
 	if build != nil {
 		var err error
@@ -225,6 +248,26 @@ func (c *Conn) WriteFrame(t MsgType, build func(b []byte) ([]byte, error)) error
 	binary.LittleEndian.PutUint32(b[4:8], uint32(n))
 	_, err := c.w.Write(b)
 	return err
+}
+
+// WriteError writes a MsgError frame of code and text, stamped with this
+// end's protocol revision. A caller that closes the connection next may
+// drop the error: a failed refusal leaves nothing else to do.
+func (c *Conn) WriteError(code ErrCode, text string) error {
+	return c.WriteFrame(MsgError, func(b []byte) ([]byte, error) {
+		return AppendError(b, ErrorMsg{Code: code, PeerVersion: Version, Text: text})
+	})
+}
+
+// Reply answers a request with a frame of type t built by build or, if
+// the request failed with the application error err, with an ErrCodeApp
+// MsgError. It reports whether the write succeeded, which is whether a
+// Handler should keep the connection.
+func (c *Conn) Reply(err error, t MsgType, build func(b []byte) ([]byte, error)) bool {
+	if err != nil {
+		return c.WriteError(ErrCodeApp, err.Error()) == nil
+	}
+	return c.WriteFrame(t, build) == nil
 }
 
 // ---- message payloads ----

@@ -18,189 +18,103 @@ import (
 // carries their verdicts in submission order. Operator control (promote,
 // rollback, rollout status) is the HTTP ControlHandler only.
 type WireServer struct {
-	svc  *Service
-	ln   net.Listener
-	wrap func(net.Conn) net.Conn
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
+	svc *Service
+	srv wire.Server
 }
 
 // ListenWire starts a binary scoring listener on addr (":0" for an
 // ephemeral port).
 func ListenWire(svc *Service, addr string) (*WireServer, error) {
-	return ListenWireWrapped(svc, addr, nil)
-}
-
-// ListenWireWrapped starts a binary scoring listener whose accepted
-// connections pass through wrap first — the listen-side seam the chaos
-// fault injector plugs into (chaos.Injector.ConnWrapper). A nil wrap is
-// the production path and costs nothing.
-func ListenWireWrapped(svc *Service, addr string, wrap func(net.Conn) net.Conn) (*WireServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
+	ws := newWireServer(svc)
+	if err := ws.srv.Listen(addr); err != nil {
 		return nil, fmt.Errorf("serve: listen %s: %w", addr, err)
 	}
-	ws := &WireServer{svc: svc, ln: ln, wrap: wrap, conns: make(map[net.Conn]struct{})}
-	ws.wg.Add(1)
-	go ws.acceptLoop()
 	return ws, nil
 }
 
+func newWireServer(svc *Service) *WireServer {
+	ws := &WireServer{svc: svc}
+	ws.srv = wire.Server{Name: "scoring service", MaxPayload: ws.maxPayload, NewHandler: ws.newHandler}
+	return ws
+}
+
 // Addr returns the listener's address.
-func (ws *WireServer) Addr() string { return ws.ln.Addr().String() }
+func (ws *WireServer) Addr() string { return ws.srv.Addr() }
 
 // Stop closes the listener and every in-flight connection, then joins
 // the handler goroutines. The underlying Service keeps running.
-func (ws *WireServer) Stop() {
-	ws.mu.Lock()
-	if ws.closed {
-		ws.mu.Unlock()
-		return
+func (ws *WireServer) Stop() { ws.srv.Stop() }
+
+// maxPayload caps each frame type's payload before it is read: a score
+// batch at MaxScorePoints, a model push at a float64-coded vector of the
+// serving model's size (the largest a push of the right model can be).
+func (ws *WireServer) maxPayload(t wire.MsgType) int {
+	switch t {
+	case wire.MsgScore:
+		return wire.MaxScorePayload
+	case wire.MsgReload, wire.MsgCanaryPush:
+		return wire.ReloadBytes(wire.VecF64, ws.svc.state.Load().det.Model().NumParams()) - wire.HeaderBytes
 	}
-	ws.closed = true
-	ws.ln.Close()
-	for c := range ws.conns {
-		c.Close()
-	}
-	ws.mu.Unlock()
-	ws.wg.Wait()
+	return 0
 }
 
-func (ws *WireServer) acceptLoop() {
-	defer ws.wg.Done()
-	for {
-		conn, err := ws.ln.Accept()
-		if err != nil {
-			return
-		}
-		if ws.wrap != nil {
-			conn = ws.wrap(conn)
-		}
-		ws.mu.Lock()
-		if ws.closed {
-			ws.mu.Unlock()
-			conn.Close()
-			return
-		}
-		ws.conns[conn] = struct{}{}
-		ws.wg.Add(1)
-		ws.mu.Unlock()
-		go func() {
-			defer ws.wg.Done()
-			defer func() {
-				ws.mu.Lock()
-				delete(ws.conns, conn)
-				ws.mu.Unlock()
-				conn.Close()
-			}()
-			ws.handle(conn)
-		}()
-	}
-}
-
-// handle serves one persistent producer connection.
-func (ws *WireServer) handle(conn net.Conn) {
-	wc := wire.NewConn(conn)
+// newHandler serves one persistent producer connection.
+func (ws *WireServer) newHandler() wire.Handler {
 	var (
 		values   []float64
 		verdicts []wire.ScoreVerdict
 	)
-	for {
-		fr, err := wc.ReadFrame()
-		if err != nil {
-			return // EOF, reaped, or not our protocol
-		}
-		if fr.Version != wire.Version {
-			ws.respondError(wc, wire.ErrorMsg{
-				Code:        wire.ErrCodeVersion,
-				PeerVersion: wire.Version,
-				Text:        fmt.Sprintf("scoring service speaks protocol v%d, got v%d", wire.Version, fr.Version),
-			})
-			return
-		}
+	return func(wc *wire.Conn, fr wire.Frame) bool {
 		switch fr.Type {
 		case wire.MsgScore:
-			station, vals, perr := wire.ParseScore(fr.Payload, values[:0])
-			if perr != nil {
-				ws.respondError(wc, wire.ErrorMsg{Code: wire.ErrCodeBadRequest, PeerVersion: wire.Version, Text: perr.Error()})
-				return
+			station, vals, err := wire.ParseScore(fr.Payload, values[:0])
+			if err != nil {
+				_ = wc.WriteError(wire.ErrCodeBadRequest, err.Error())
+				return false
 			}
 			values = vals
 			// Resolved per frame, not cached per connection: a cache would
 			// pin every station name the producer ever sent, evicted ones
 			// included.
-			h, herr := ws.svc.Station(station)
-			if herr != nil {
-				ws.respondError(wc, wire.ErrorMsg{Code: wire.ErrCodeApp, PeerVersion: wire.Version, Text: herr.Error()})
-				return
-			}
-			var serr error
-			if verdicts, serr = ws.score(h, vals, verdicts[:0]); serr != nil {
-				ws.respondError(wc, wire.ErrorMsg{Code: wire.ErrCodeApp, PeerVersion: wire.Version, Text: serr.Error()})
-				return
+			h, err := ws.svc.Station(station)
+			if err == nil {
+				verdicts, err = ws.score(h, vals, verdicts[:0])
 			}
 			out := verdicts
-			if werr := wc.WriteFrame(wire.MsgScoreOK, func(b []byte) ([]byte, error) {
+			// A batch the service refuses is reported, and ends the
+			// connection.
+			return wc.Reply(err, wire.MsgScoreOK, func(b []byte) ([]byte, error) {
 				return wire.AppendScoreOK(b, out)
-			}); werr != nil {
-				return
-			}
-		case wire.MsgReload:
-			threshold, vecPayload, perr := wire.ParseReload(fr.Payload)
-			if perr != nil {
-				ws.respondError(wc, wire.ErrorMsg{Code: wire.ErrCodeBadRequest, PeerVersion: wire.Version, Text: perr.Error()})
-				return
-			}
-			// Reload pushes are connectionless: no delta reference exists,
-			// so q8-coded vectors fail decode with ErrNoRef by design.
-			weights, _, derr := wire.DecodeVector(vecPayload, nil, nil)
-			if derr != nil {
-				ws.respondError(wc, wire.ErrorMsg{Code: wire.ErrCodeBadRequest, PeerVersion: wire.Version, Text: derr.Error()})
-				return
-			}
-			epoch, rerr := ws.svc.ReloadWeights(weights, threshold)
-			if rerr != nil {
-				ws.respondError(wc, wire.ErrorMsg{Code: wire.ErrCodeApp, PeerVersion: wire.Version, Text: rerr.Error()})
-				continue
-			}
-			if werr := wc.WriteFrame(wire.MsgReloadOK, func(b []byte) ([]byte, error) {
-				return wire.AppendReloadOK(b, epoch)
-			}); werr != nil {
-				return
-			}
-		case wire.MsgCanaryPush:
-			threshold, vecPayload, perr := wire.ParseReload(fr.Payload)
-			if perr != nil {
-				ws.respondError(wc, wire.ErrorMsg{Code: wire.ErrCodeBadRequest, PeerVersion: wire.Version, Text: perr.Error()})
-				return
-			}
-			weights, _, derr := wire.DecodeVector(vecPayload, nil, nil)
-			if derr != nil {
-				ws.respondError(wc, wire.ErrorMsg{Code: wire.ErrCodeBadRequest, PeerVersion: wire.Version, Text: derr.Error()})
-				return
-			}
-			gen, serr := ws.svc.StageWeights(weights, threshold)
-			if serr != nil {
-				ws.respondError(wc, wire.ErrorMsg{Code: wire.ErrCodeApp, PeerVersion: wire.Version, Text: serr.Error()})
-				continue
-			}
-			if werr := wc.WriteFrame(wire.MsgCanaryPushOK, func(b []byte) ([]byte, error) {
-				return wire.AppendCanaryPushOK(b, gen)
-			}); werr != nil {
-				return
-			}
-		default:
-			ws.respondError(wc, wire.ErrorMsg{
-				Code:        wire.ErrCodeBadRequest,
-				PeerVersion: wire.Version,
-				Text:        fmt.Sprintf("unexpected message type %d", fr.Type),
-			})
-			return
+			}) && err == nil
+		case wire.MsgReload, wire.MsgCanaryPush:
+			return ws.push(wc, fr)
 		}
+		_ = wc.WriteError(wire.ErrCodeBadRequest, fmt.Sprintf("unexpected message type %d", fr.Type))
+		return false
 	}
+}
+
+// push serves a post-round model push: MsgReload swaps the weights in
+// live, MsgCanaryPush stages them as a canary candidate. A push the
+// service refuses is reported and the connection kept.
+func (ws *WireServer) push(wc *wire.Conn, fr wire.Frame) bool {
+	threshold, vec, err := wire.ParseReload(fr.Payload)
+	var weights []float64
+	if err == nil {
+		// Pushes are connectionless: no delta reference exists, so
+		// q8-coded vectors fail decode with ErrNoRef by design.
+		weights, _, err = wire.DecodeVector(vec, nil, nil)
+	}
+	if err != nil {
+		_ = wc.WriteError(wire.ErrCodeBadRequest, err.Error())
+		return false
+	}
+	if fr.Type == wire.MsgReload {
+		epoch, err := ws.svc.ReloadWeights(weights, threshold)
+		return wc.Reply(err, wire.MsgReloadOK, func(b []byte) ([]byte, error) { return wire.AppendReloadOK(b, epoch) })
+	}
+	gen, err := ws.svc.StageWeights(weights, threshold)
+	return wc.Reply(err, wire.MsgCanaryPushOK, func(b []byte) ([]byte, error) { return wire.AppendCanaryPushOK(b, gen) })
 }
 
 // score submits one station's observation batch (one ingress-ring
@@ -259,12 +173,6 @@ func toWire(v Verdict) wire.ScoreVerdict {
 		Score:     v.Score,
 		Mitigated: v.Mitigated,
 	}
-}
-
-func (ws *WireServer) respondError(wc *wire.Conn, e wire.ErrorMsg) {
-	_ = wc.WriteFrame(wire.MsgError, func(b []byte) ([]byte, error) {
-		return wire.AppendError(b, e)
-	})
 }
 
 // WireClient is a producer-side handle for a WireServer: it scores

@@ -11,11 +11,12 @@ import (
 	"github.com/evfed/evfed/internal/fed/wire"
 )
 
-// FuzzWireServe feeds arbitrary bytes to a WireServer connection handler
-// over net.Pipe, as a producer or a coordinator on the scoring port
-// would. No input may panic; the handler returns once the peer closes;
-// after Service.Close no goroutine is left behind; and a well-formed
-// frame of a retired type (14–17) is answered with ErrCodeBadRequest.
+// FuzzWireServe feeds arbitrary bytes to a WireServer connection over
+// net.Pipe, as a producer or a coordinator on the scoring port would. No
+// input may panic; the server returns once the peer closes; after
+// Service.Close no goroutine is left behind; and a well-formed frame of a
+// retired type (14–17), or a MsgScore header over wire.MaxScorePayload,
+// is answered with ErrCodeBadRequest.
 func FuzzWireServe(f *testing.F) {
 	frame := func(t wire.MsgType, build func([]byte) ([]byte, error)) []byte {
 		var buf bytes.Buffer
@@ -61,17 +62,18 @@ func FuzzWireServe(f *testing.F) {
 	f.Add([]byte("GET /score HTTP/1.1\r\n\r\n"))
 	// One point over the per-frame cap.
 	f.Add(frame(wire.MsgScore, func(b []byte) ([]byte, error) { return overCapScore(b, "z102"), nil }))
+	// A bare header claiming one byte over the score payload cap.
+	f.Add(scoreHeader(wire.MaxScorePayload + 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		baseline := runtime.NumGoroutine()
 		s := newTestService(t, Config{Shards: 1, Rollout: testRollout()})
-		ws := &WireServer{svc: s}
+		ws := newWireServer(s)
 		srv, cli := net.Pipe()
 		handled := make(chan struct{})
 		go func() {
 			defer close(handled)
-			defer srv.Close()
-			ws.handle(srv)
+			ws.srv.ServeConn(srv)
 		}()
 		var first wire.Frame
 		replies := make(chan int)
@@ -96,13 +98,13 @@ func FuzzWireServe(f *testing.F) {
 			_, _ = cli.Write(data)
 		}()
 
-		retired := retiredFrame(data)
-		if retired {
+		refused := refusedFrame(data)
+		if refused {
 			// The server answers and hangs up by itself.
 			select {
 			case <-handled:
 			case <-time.After(5 * time.Second):
-				t.Fatal("handler kept a retired-type connection open")
+				t.Fatal("server kept a refused connection open")
 			}
 		}
 		<-written
@@ -115,13 +117,13 @@ func FuzzWireServe(f *testing.F) {
 		n := <-replies
 		s.Close()
 
-		if retired {
+		if refused {
 			if n == 0 || first.Type != wire.MsgError {
-				t.Fatalf("retired type %d: %d replies, first type %d", data[3], n, first.Type)
+				t.Fatalf("refused type %d: %d replies, first type %d", data[3], n, first.Type)
 			}
 			e, err := wire.ParseError(first.Payload)
 			if err != nil || e.Code != wire.ErrCodeBadRequest {
-				t.Fatalf("retired type %d: error %+v, %v", data[3], e, err)
+				t.Fatalf("refused type %d: error %+v, %v", data[3], e, err)
 			}
 		}
 		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > baseline; {
@@ -135,12 +137,22 @@ func FuzzWireServe(f *testing.F) {
 	})
 }
 
-// retiredFrame reports whether data opens with a complete, well-formed
-// frame of a retired canary status or override type.
-func retiredFrame(data []byte) bool {
+// refusedFrame reports whether data opens with a current-revision header
+// the server must refuse whatever follows it: a retired canary status or
+// override type (a payload over its cap of 0, or an empty frame), or a
+// MsgScore claiming more than wire.MaxScorePayload.
+func refusedFrame(data []byte) bool {
 	if len(data) < wire.HeaderBytes || data[0] != 'E' || data[1] != 'V' || data[2] != wire.Version {
 		return false
 	}
 	size := binary.LittleEndian.Uint32(data[4:8])
-	return data[3] >= 14 && data[3] <= 17 && uint64(size) <= uint64(len(data)-wire.HeaderBytes)
+	return data[3] >= 14 && data[3] <= 17 ||
+		wire.MsgType(data[3]) == wire.MsgScore && size > wire.MaxScorePayload
+}
+
+// scoreHeader is a bare MsgScore frame header claiming size payload bytes.
+func scoreHeader(size int) []byte {
+	hdr := []byte{'E', 'V', wire.Version, byte(wire.MsgScore), 0, 0, 0, 0}
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(size))
+	return hdr
 }

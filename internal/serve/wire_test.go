@@ -338,3 +338,55 @@ func TestWireScorePointCap(t *testing.T) {
 			len(vs), vs[0].Index, wire.MaxScorePoints)
 	}
 }
+
+// TestWireScoreHeaderOverCap: a MsgScore header claiming more than
+// wire.MaxScorePayload is refused with ErrCodeBadRequest before its
+// payload is read — from the bare header, and while a producer streams a
+// claimed million points — so the server allocates no payload buffer and
+// registers no station.
+func TestWireScoreHeaderOverCap(t *testing.T) {
+	s := newTestService(t, Config{Shards: 1})
+	ws := newWireServer(s)
+	million := wire.ScoreBytes(len("huge"), 1<<20) - wire.HeaderBytes
+	for _, tc := range []struct {
+		size   int
+		stream bool
+	}{{wire.MaxScorePayload + 1, false}, {million, true}} {
+		msg := scoreHeader(tc.size)
+		if tc.stream {
+			msg = append(msg, make([]byte, tc.size)...)
+			copy(msg[wire.HeaderBytes:], []byte{4, 0, 'h', 'u', 'g', 'e'})
+			binary.LittleEndian.PutUint32(msg[wire.HeaderBytes+6:], 1<<20)
+		}
+		srv, cli := net.Pipe()
+		wc := wire.NewConn(cli)
+		served := make(chan struct{})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		go func() {
+			defer close(served)
+			ws.srv.ServeConn(srv)
+		}()
+		go func() { _, _ = cli.Write(msg) }() // cut short when the server hangs up
+		cli.SetReadDeadline(time.Now().Add(5 * time.Second))
+		fr, err := wc.ReadFrame()
+		if err != nil || fr.Type != wire.MsgError {
+			t.Fatalf("%d-byte header: frame %+v, err %v", tc.size, fr, err)
+		}
+		if e, err := wire.ParseError(fr.Payload); err != nil || e.Code != wire.ErrCodeBadRequest {
+			t.Fatalf("%d-byte header: error %+v, %v; want ErrCodeBadRequest", tc.size, e, err)
+		}
+		<-served
+		runtime.ReadMemStats(&after)
+		cli.Close()
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("%d-byte header: the exchange allocated %d bytes", tc.size, grew)
+		}
+	}
+	if st := s.Stats(); st.Stations != 0 {
+		t.Fatalf("a refused header registered %d stations", st.Stations)
+	}
+	if _, ok := s.stations.Load("huge"); ok {
+		t.Fatal("a refused header registered its station")
+	}
+}
